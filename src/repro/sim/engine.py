@@ -7,6 +7,7 @@ construction and interact with simulated time exclusively through it.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
 from repro.sim.clock import SimClock
@@ -40,7 +41,8 @@ class Simulator:
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
-        return self.clock.now
+        # One hop to the clock's slot; SimClock still owns time.
+        return self.clock._now
 
     @property
     def events_processed(self) -> int:
@@ -77,9 +79,10 @@ class Simulator:
         priority: int = PRIORITY_DEFAULT,
     ) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay!r}")
-        return self._queue.push(self.now + delay, callback, args, priority)
+        # ``not >=`` also rejects NaN, which would corrupt heap order.
+        if not delay >= 0:
+            raise ValueError(f"delay must be a non-negative number, got {delay!r}")
+        return self._queue.push(self.clock._now + delay, callback, args, priority)
 
     def schedule_at(
         self,
@@ -89,18 +92,23 @@ class Simulator:
         priority: int = PRIORITY_DEFAULT,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        if time < self.now:
+        now = self.clock._now
+        if not time >= now:
+            if time != time:
+                raise ValueError(f"event time must not be NaN, got {time!r}")
             raise ValueError(
-                f"cannot schedule in the past: now={self.now!r}, requested={time!r}"
+                f"cannot schedule in the past: now={now!r}, requested={time!r}"
             )
         return self._queue.push(time, callback, args, priority)
 
     def cancel(self, event: Optional[Event]) -> None:
-        """Cancel a pending event.  None and already-cancelled are no-ops."""
-        if event is None or event.cancelled:
-            return
-        event.cancel()
-        self._queue.note_cancelled()
+        """Cancel a pending event.
+
+        None, an already-cancelled event and one that has already fired
+        are no-ops for the pending count.
+        """
+        if event is not None:
+            self._queue.cancel(event)
 
     def run(
         self, until: Optional[float] = None, max_events: Optional[int] = None
@@ -116,30 +124,39 @@ class Simulator:
         if self._running:
             raise RuntimeError("simulator is not re-entrant")
         self._running = True
+        # The hot loop: the queue's methods stay the only way events
+        # leave the heap, the clock is advanced in place, and
+        # ``_event_count`` is bumped after each callback so it is exact
+        # even when a callback reads it or raises.
+        clock = self.clock
+        peek_time = self._queue.peek_time
+        pop = self._queue.pop
+        horizon = math.inf if until is None else until
+        cap = math.inf if max_events is None else max_events
         processed = 0
         try:
-            while True:
-                if max_events is not None and processed >= max_events:
+            while processed < cap:
+                next_time = peek_time()
+                if next_time is None or next_time > horizon:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                event = self._queue.pop()
-                assert event is not None
-                self.clock.advance_to(event.time)
-                event.fire()
+                event = pop()
+                time = event.time
+                if time < clock._now:
+                    clock.advance_to(time)  # raises: the heap is corrupt
+                clock._now = time
+                event.callback(*event.args)  # pop returns only live events
                 processed += 1
                 self._event_count += 1
-            if until is not None and until > self.now:
-                self.clock.advance_to(until)
+            if until is not None and until > clock._now:
+                clock.advance_to(until)
         finally:
             self._running = False
         return processed
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Process events for ``duration`` seconds of simulated time."""
-        if duration < 0:
-            raise ValueError(f"duration must be non-negative, got {duration!r}")
+        if not duration >= 0:
+            raise ValueError(
+                f"duration must be a non-negative number, got {duration!r}"
+            )
         return self.run(until=self.now + duration, max_events=max_events)

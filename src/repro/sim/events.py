@@ -3,8 +3,15 @@
 An :class:`Event` is a callback bound to a simulation time.  Events are
 totally ordered by ``(time, priority, sequence)`` so that simultaneous
 events fire in a deterministic order: lower priority value first, then
-insertion order.  Cancellation is lazy — a cancelled event stays on the
-heap but is skipped when popped, which keeps cancellation O(1).
+insertion order.  The heap stores that key as a plain tuple
+``(time, priority, seq, event)``; ``seq`` is unique, so ``heapq`` never
+compares two events and all ordering work stays in C.
+
+Cancellation is lazy — a cancelled event stays on the heap but is
+skipped when it reaches the head, which keeps cancellation O(1).  The
+queue's live count is exact: it drops once when a still-queued event is
+cancelled and once when a live event is popped, and cancelling an event
+that has already fired (or was already dropped) leaves it alone.
 """
 
 from __future__ import annotations
@@ -12,6 +19,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import Any, Callable, Optional
+
+_heappush = heapq.heappush
+_heappop = heapq.heappop
 
 
 class Event:
@@ -22,7 +32,7 @@ class Event:
     is :meth:`cancel` and the read-only properties.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled")
+    __slots__ = ("time", "priority", "seq", "callback", "args", "_cancelled", "_queued")
 
     def __init__(
         self,
@@ -32,14 +42,18 @@ class Event:
         args: tuple = (),
         priority: int = 0,
     ) -> None:
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time!r}")
+        # ``not >=`` also rejects NaN, which would corrupt heap order.
+        if not time >= 0:
+            raise ValueError(f"event time must be a non-negative number, got {time!r}")
         self.time = float(time)
         self.priority = priority
         self.seq = seq
         self.callback = callback
         self.args = args
         self._cancelled = False
+        #: Set by :meth:`EventQueue.push`, cleared by ``pop`` and
+        #: ``clear``: whether cancelling still lowers the live count.
+        self._queued = False
 
     @property
     def cancelled(self) -> bool:
@@ -47,7 +61,11 @@ class Event:
         return self._cancelled
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
+        """Prevent the event from firing.  Safe to call more than once.
+
+        For a queued event use :meth:`EventQueue.cancel` (or
+        :meth:`Simulator.cancel`), which also keeps the live count exact.
+        """
         self._cancelled = True
 
     def fire(self) -> None:
@@ -71,7 +89,9 @@ class EventQueue:
     """A deterministic min-heap of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries, i.e. ``sort_key()``
+        #: plus the event.
+        self._heap: list[tuple] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -90,40 +110,52 @@ class EventQueue:
         priority: int = 0,
     ) -> Event:
         """Create and enqueue an event; returns it for cancellation."""
-        event = Event(time, next(self._counter), callback, args, priority)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, priority)
+        event._queued = True
+        _heappush(self._heap, (event.time, priority, seq, event))
         self._live += 1
         return event
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
-        self._drop_cancelled_head()
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        heap = self._heap
+        if heap and heap[0][3]._cancelled:
+            self._drop_cancelled_head()
+        return heap[0][0] if heap else None
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or None if empty."""
-        self._drop_cancelled_head()
-        if not self._heap:
+        heap = self._heap
+        if heap and heap[0][3]._cancelled:
+            self._drop_cancelled_head()
+        if not heap:
             return None
-        event = heapq.heappop(self._heap)
+        event = _heappop(heap)[3]
+        event._queued = False
         self._live -= 1
         return event
 
-    def note_cancelled(self) -> None:
-        """Adjust the live count after an external ``Event.cancel()``.
+    def cancel(self, event: Event) -> None:
+        """Cancel ``event`` and keep the live count exact.
 
-        :class:`Simulator` wraps cancellation so callers normally never
-        need this.
+        Only an event that is still queued and not yet cancelled counts
+        against the live total; cancelling one that already fired or was
+        already cancelled changes nothing but its flag.
         """
-        if self._live > 0:
+        if event._cancelled:
+            return
+        event._cancelled = True
+        if event._queued:
             self._live -= 1
 
     def clear(self) -> None:
+        for entry in self._heap:
+            entry[3]._queued = False
         self._heap.clear()
         self._live = 0
 
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3]._cancelled:
+            _heappop(heap)

@@ -20,7 +20,7 @@ from repro.environment.campus import default_campus
 from repro.environment.geometry import Point
 from repro.environment.mobility import RandomWaypointMobility
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
+from repro.sim.events import Event, EventQueue
 from tests.test_core_datastores_queues import make_record
 
 # ----------------------------------------------------------------------
@@ -53,8 +53,7 @@ def test_event_queue_cancellation_preserves_rest(times, data):
         )
     )
     for index in to_cancel:
-        events[index].cancel()
-        queue.note_cancelled()
+        queue.cancel(events[index])
     surviving_times = sorted(
         t for i, t in enumerate(times) if i not in to_cancel
     )
@@ -62,6 +61,59 @@ def test_event_queue_cancellation_preserves_rest(times, data):
     while queue:
         popped.append(queue.pop().time)
     assert popped == surviving_times
+
+
+_KERNEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("push"),
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+            st.sampled_from([-10, 0, 10]),
+        ),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=60)),
+        st.tuples(st.just("fire")),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KERNEL_OPS)
+def test_simulator_fires_in_exact_sort_key_order_with_cancellations(ops):
+    """Ties, priorities, cancels (also after firing): order and count stay exact."""
+    sim = Simulator()
+    queue = sim._queue
+    events = []
+    live = []
+    fired = []
+    for op in ops:
+        if op[0] == "push":
+            _, delay, priority = op
+            event = sim.schedule(delay, fired.append, len(events), priority=priority)
+            events.append(event)
+            live.append(event)
+        elif op[0] == "cancel" and events:
+            # Indexes past the end wrap around, so fired events get
+            # cancelled too (a no-op for the count).
+            event = events[op[1] % len(events)]
+            sim.cancel(event)
+            if event in live:
+                live.remove(event)
+        elif op[0] == "fire":
+            expected = min(live, key=Event.sort_key) if live else None
+            assert sim.run(max_events=1) == (1 if live else 0)
+            if expected is not None:
+                assert events[fired[-1]] is expected
+                live.remove(expected)
+        assert len(queue) == sim.pending_events == len(live) >= 0
+    drained_from = len(fired)
+    remaining = sorted(live, key=Event.sort_key)
+    sim.run()
+    assert [events[i] for i in fired[drained_from:]] == remaining
+    times = [events[i].time for i in fired]
+    assert times == sorted(times)
+    assert len(queue) == sim.pending_events == 0
+    assert sim.events_processed == len(fired)
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,86 @@ class TestSimulator:
         sim = Simulator()
         sim.cancel(None)
 
+    def test_cancel_after_fire_keeps_pending_count(self):
+        sim = Simulator()
+        first = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        sim.cancel(first)
+        assert sim.pending_events == 1
+        assert sim.run() == 1
+        assert sim.pending_events == 0
+
+    def test_cancel_after_lazy_drop_is_noop(self):
+        sim = Simulator()
+        event = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.cancel(event)
+        sim.run(until=1.5)  # drops the cancelled head
+        sim.cancel(event)
+        assert sim.pending_events == 1
+
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_at_rejects_nan(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="NaN"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_schedule_at_infinity_is_allowed(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(float("inf"), fired.append, "x")
+        sim.schedule(float("inf"), fired.append, "y")
+        assert sim.run(until=1e12) == 0
+        assert sim.run() == 2
+        assert fired == ["x", "y"]
+
+    def test_run_for_rejects_nan(self):
+        sim = Simulator()
+        with pytest.raises(ValueError):
+            sim.run_for(float("nan"))
+
+    def test_events_processed_exact_inside_and_after_raising_callback(self):
+        sim = Simulator()
+        seen = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, lambda: seen.append(sim.events_processed))
+        sim.schedule(2.0, lambda: seen.append(sim.events_processed))
+        sim.schedule(3.0, boom)
+        sim.schedule(4.0, lambda: seen.append(sim.events_processed))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert seen == [0, 1]
+        assert sim.events_processed == 2
+        assert sim.now == 3.0
+        assert sim.run() == 1
+        assert seen == [0, 1, 2]
+        assert sim.events_processed == 3
+
+    def test_now_tracks_clock(self):
+        sim = Simulator(start_time=2.5)
+        assert sim.now == sim.clock.now == 2.5
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        assert sim.now == sim.clock.now == 3.5
+
+    def test_event_behind_clock_is_rejected(self):
+        sim = Simulator()
+        sim.run_for(5.0)
+        sim._queue.push(1.0, lambda: None)  # bypasses schedule_at's guard
+        with pytest.raises(ValueError, match="backwards"):
+            sim.run()
+        assert sim.now == 5.0
+
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
         fired = []

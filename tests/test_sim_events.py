@@ -12,6 +12,13 @@ class TestEvent:
         with pytest.raises(ValueError):
             Event(-1.0, 0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError):
+            Event(float("nan"), 0, lambda: None)
+
+    def test_infinite_time_allowed(self):
+        assert Event(float("inf"), 0, lambda: None).time == float("inf")
+
     def test_cancel_prevents_fire(self):
         fired = []
         event = Event(1.0, 0, fired.append, args=("x",))
@@ -85,8 +92,7 @@ class TestEventQueue:
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
-        event.cancel()
-        queue.note_cancelled()
+        queue.cancel(event)
         assert len(queue) == 1
         popped = queue.pop()
         assert popped.time == 2.0
@@ -95,8 +101,7 @@ class TestEventQueue:
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(5.0, lambda: None)
-        event.cancel()
-        queue.note_cancelled()
+        queue.cancel(event)
         assert queue.peek_time() == 5.0
 
     def test_clear(self):
@@ -112,4 +117,44 @@ class TestEventQueue:
         queue.push(2.0, lambda: None)
         assert len(queue) == 2
         queue.pop()
+        assert len(queue) == 1
+
+    def test_push_rejects_nan_time(self):
+        queue = EventQueue()
+        with pytest.raises(ValueError):
+            queue.push(float("nan"), lambda: None)
+        assert len(queue) == 0
+        assert queue.pop() is None
+
+    def test_heap_entries_are_sort_key_plus_event(self):
+        queue = EventQueue()
+        events = [
+            queue.push(2.0, lambda: None),
+            queue.push(1.0, lambda: None, priority=3),
+            queue.push(1.0, lambda: None, priority=-3),
+        ]
+        for entry in queue._heap:
+            assert entry[:3] == entry[3].sort_key()
+        assert [entry[3] for entry in sorted(queue._heap)] == sorted(events)
+
+    def test_cancel_counts_only_queued_live_events(self):
+        queue = EventQueue()
+        first = queue.push(1.0, lambda: None)
+        second = queue.push(2.0, lambda: None)
+        assert queue.pop() is first
+        queue.cancel(first)  # already popped: flag only
+        assert first.cancelled
+        assert len(queue) == 1
+        queue.cancel(second)
+        queue.cancel(second)
+        assert len(queue) == 0
+        assert queue.pop() is None
+
+    def test_clear_then_cancel_keeps_count(self):
+        queue = EventQueue()
+        event = queue.push(1.0, lambda: None)
+        queue.clear()
+        queue.cancel(event)
+        assert len(queue) == 0
+        queue.push(2.0, lambda: None)
         assert len(queue) == 1
