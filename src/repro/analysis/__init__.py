@@ -11,7 +11,6 @@ from repro.analysis.streaming import (
     StreamingLatency,
     StreamingMean,
     StreamingSelectionCounts,
-    StreamingStateTime,
 )
 from repro.analysis.tables import format_table
 from repro.analysis.trace import RadioTraceRecorder, TraceSegment
@@ -24,7 +23,6 @@ __all__ = [
     "StreamingLatency",
     "StreamingMean",
     "StreamingSelectionCounts",
-    "StreamingStateTime",
     "TraceSegment",
     "format_table",
     "jain_index",

@@ -48,6 +48,73 @@ def idw_interpolate(
     return numerator / denominator
 
 
+class StreamingHeatmap:
+    """Incremental IDW field on a fixed grid.
+
+    Each cell's weighted numerator and denominator accumulate in sample
+    order, exactly as :func:`idw_interpolate` sums them at the cell
+    centre, so the field is bit-identical to interpolating cell by
+    cell; :func:`grid_field` is this fold over a sample list.
+    """
+
+    def __init__(
+        self,
+        width_m: float,
+        height_m: float,
+        *,
+        cols: int = 40,
+        rows: int = 16,
+        power: float = 2.0,
+        epsilon_m: float = 1.0,
+    ) -> None:
+        if cols < 1 or rows < 1:
+            raise ValueError("grid must have at least one cell")
+        if power <= 0:
+            raise ValueError("power must be positive")
+        self.cols = cols
+        self.rows = rows
+        self.power = power
+        self.epsilon_m = epsilon_m
+        self.samples = 0
+        self._centers: List[List[Point]] = []
+        self._num: List[List[float]] = []
+        self._den: List[List[float]] = []
+        for r in range(rows):
+            # Row 0 at the top (max y) so the rendering reads like a map.
+            y = height_m * (rows - 0.5 - r) / rows
+            self._centers.append(
+                [Point(width_m * (c + 0.5) / cols, y) for c in range(cols)]
+            )
+            self._num.append([0.0] * cols)
+            self._den.append([0.0] * cols)
+
+    def add(self, sample: SpatialSample) -> None:
+        self.add_value(sample.position, sample.value)
+
+    def add_value(self, position: Point, value: float) -> None:
+        self.samples += 1
+        power = self.power
+        epsilon = self.epsilon_m
+        for r in range(self.rows):
+            centers = self._centers[r]
+            num = self._num[r]
+            den = self._den[r]
+            for c in range(self.cols):
+                distance = max(epsilon, position.distance_to(centers[c]))
+                weight = 1.0 / distance**power
+                num[c] += weight * value
+                den[c] += weight
+
+    def grid(self) -> List[List[float]]:
+        """The interpolated field; needs at least one sample."""
+        if self.samples == 0:
+            raise ValueError("need at least one sample")
+        return [
+            [self._num[r][c] / self._den[r][c] for c in range(self.cols)]
+            for r in range(self.rows)
+        ]
+
+
 def grid_field(
     samples: Sequence[SpatialSample],
     width_m: float,
@@ -57,18 +124,10 @@ def grid_field(
     rows: int = 16,
 ) -> List[List[float]]:
     """Interpolate the field onto a rows×cols grid over a rectangle."""
-    if cols < 1 or rows < 1:
-        raise ValueError("grid must have at least one cell")
-    grid = []
-    for r in range(rows):
-        # Row 0 at the top (max y) so the rendering reads like a map.
-        y = height_m * (rows - 0.5 - r) / rows
-        row = []
-        for c in range(cols):
-            x = width_m * (c + 0.5) / cols
-            row.append(idw_interpolate(samples, Point(x, y)))
-        grid.append(row)
-    return grid
+    field = StreamingHeatmap(width_m, height_m, cols=cols, rows=rows)
+    for sample in samples:
+        field.add(sample)
+    return field.grid()
 
 
 def render_heatmap(

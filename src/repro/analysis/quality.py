@@ -9,9 +9,10 @@ experiments and benchmarks can assert it instead of assuming it.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.baselines.common import BaselineFramework
 from repro.core.server import SenseAidServer, SensedDataPoint
@@ -89,17 +90,52 @@ class LatencyStats:
     p95_s: float
 
 
+class StreamingLatency:
+    """Exact count/mean/max/p95 of delivery latency, folded one at a time.
+
+    Feed it latencies (or reading points) in arrival order.  The p95 is
+    exact, which on an arbitrary stream forces retaining the values: a
+    "keep only the top ``n - int(0.95·n)``" heap fails when that target
+    size grows past an element it already discarded (twenty 1.0s then
+    0.0s — the second 1.0 becomes the p95 but is gone).  So each
+    latency is kept as one clamped 8-byte double in an ``array('d')``
+    — the readings themselves never materialise.  :meth:`stats` sorts
+    the retained values once and takes the mean over that sorted
+    order, the max as its last element, and the p95 as element
+    ``min(n-1, int(0.95·n))``.
+    """
+
+    def __init__(self) -> None:
+        #: One clamped latency per observation, 8 bytes each.
+        self._values = array("d")
+
+    @property
+    def count(self) -> int:
+        return len(self._values)
+
+    def add(self, latency_s: float) -> None:
+        self._values.append(max(0.0, latency_s))
+
+    def add_point(self, point: SensedDataPoint) -> None:
+        """Fold one ``SensedDataPoint`` (sensing→delivery latency)."""
+        self.add(point.delivered_at - point.sensed_at)
+
+    def stats(self) -> LatencyStats:
+        count = self.count
+        if count == 0:
+            return LatencyStats(count=0, mean_s=0.0, max_s=0.0, p95_s=0.0)
+        ordered = sorted(self._values)
+        return LatencyStats(
+            count=count,
+            mean_s=sum(ordered) / count,
+            max_s=ordered[-1],
+            p95_s=ordered[min(count - 1, int(0.95 * count))],
+        )
+
+
 def delivery_latency(points: Sequence[SensedDataPoint]) -> LatencyStats:
     """Latency from sensor acquisition to application delivery."""
-    if not points:
-        return LatencyStats(count=0, mean_s=0.0, max_s=0.0, p95_s=0.0)
-    latencies: List[float] = sorted(
-        max(0.0, p.delivered_at - p.sensed_at) for p in points
-    )
-    index_95 = min(len(latencies) - 1, int(0.95 * len(latencies)))
-    return LatencyStats(
-        count=len(latencies),
-        mean_s=sum(latencies) / len(latencies),
-        max_s=latencies[-1],
-        p95_s=latencies[index_95],
-    )
+    latency = StreamingLatency()
+    for point in points:
+        latency.add_point(point)
+    return latency.stats()

@@ -1,7 +1,7 @@
 """Streaming/incremental analysis accumulators.
 
 The batch analysis helpers (:mod:`repro.analysis.fairness`,
-``quality``, ``heatmap``, ``trace``, ``truth``) all take fully
+``quality``, ``heatmap``, ``truth``) all take fully
 materialised sequences — fine for a 9-round campaign, hopeless for a
 million-reading soak on the sqlite backend, where the whole point is
 that readings never sit in process memory at once.  Each accumulator
@@ -19,16 +19,12 @@ here folds one observation at a time and holds only O(state) memory:
   retaining the values (any one-pass selection needs Ω(n) memory —
   a kept-tail heap breaks the moment its target size grows past an
   already-discarded element), so each latency is retained as one
-  compact 8-byte double rather than the reading that carried it;
-  count/mean/max still fold in O(1).  (The batch mean sums in
-  *sorted* order, so the streaming mean matches it to float
-  tolerance, not bit-for-bit.)
+  compact 8-byte double rather than the reading that carried it.
+  Defined in :mod:`repro.analysis.quality`, whose
+  ``delivery_latency`` is a fold over it.
 * :class:`StreamingHeatmap` — per-cell IDW numerator/denominator
-  accumulators.  Bit-identical to :func:`~repro.analysis.heatmap.
-  grid_field`, because for each cell the weighted sums accumulate in
-  sample order either way.
-* :class:`StreamingStateTime` — per-radio-state occupancy totals
-  folded from transitions, no segment list retained.
+  accumulators.  Defined in :mod:`repro.analysis.heatmap`, whose
+  ``grid_field`` is a fold over it.
 * :class:`ClaimsAccumulator` — builds the truth-discovery claims
   matrix incrementally from a reading stream (O(sources × items), not
   O(readings)).
@@ -36,14 +32,20 @@ here folds one observation at a time and holds only O(state) memory:
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional
 
 from repro.analysis.fairness import fairness_report
-from repro.analysis.heatmap import SpatialSample
-from repro.analysis.quality import LatencyStats
+from repro.analysis.heatmap import StreamingHeatmap
+from repro.analysis.quality import StreamingLatency
 from repro.analysis.truth import TruthDiscoveryResult, discover_truth
-from repro.environment.geometry import Point
+
+__all__ = [
+    "ClaimsAccumulator",
+    "StreamingHeatmap",
+    "StreamingLatency",
+    "StreamingMean",
+    "StreamingSelectionCounts",
+]
 
 
 class StreamingSelectionCounts:
@@ -92,163 +94,6 @@ class StreamingMean:
         if self.count == 0:
             return None
         return self._total / self.count
-
-
-class StreamingLatency:
-    """Exact count/mean/max/p95 of delivery latency.
-
-    Feed it latencies (or reading points) in arrival order.  Count,
-    mean, and max fold in O(1).  The p95 is exact, which on an
-    arbitrary stream forces retaining the values: a "keep only the
-    top ``n - int(0.95·n)``" heap fails when that target size grows
-    past an element it already discarded (twenty 1.0s then 0.0s —
-    the second 1.0 becomes the p95 but is gone).  So each latency is
-    kept as one clamped 8-byte double in an ``array('d')`` — the
-    readings themselves still never materialise — and ``stats()``
-    picks the same ``min(n-1, int(0.95·n))`` sorted element the batch
-    :func:`repro.analysis.quality.delivery_latency` picks.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._sum = 0.0
-        self._max = 0.0
-        #: One clamped latency per observation, 8 bytes each.
-        self._values = array("d")
-
-    def add(self, latency_s: float) -> None:
-        value = max(0.0, latency_s)
-        self.count += 1
-        self._sum += value
-        if value > self._max:
-            self._max = value
-        self._values.append(value)
-
-    def add_point(self, point) -> None:
-        """Fold one ``SensedDataPoint`` (sensing→delivery latency)."""
-        self.add(point.delivered_at - point.sensed_at)
-
-    def stats(self) -> LatencyStats:
-        if self.count == 0:
-            return LatencyStats(count=0, mean_s=0.0, max_s=0.0, p95_s=0.0)
-        ordered = sorted(self._values)
-        index_95 = min(self.count - 1, int(0.95 * self.count))
-        return LatencyStats(
-            count=self.count,
-            mean_s=self._sum / self.count,
-            max_s=self._max,
-            p95_s=ordered[index_95],
-        )
-
-
-class StreamingHeatmap:
-    """Incremental IDW field on a fixed grid.
-
-    Equivalent to running :func:`repro.analysis.heatmap.grid_field`
-    over the full sample list — bit-identical, in fact, because each
-    cell's weighted numerator/denominator accumulate in sample order
-    under both formulations.
-    """
-
-    def __init__(
-        self,
-        width_m: float,
-        height_m: float,
-        *,
-        cols: int = 40,
-        rows: int = 16,
-        power: float = 2.0,
-        epsilon_m: float = 1.0,
-    ) -> None:
-        if cols < 1 or rows < 1:
-            raise ValueError("grid must have at least one cell")
-        if power <= 0:
-            raise ValueError("power must be positive")
-        self.cols = cols
-        self.rows = rows
-        self.power = power
-        self.epsilon_m = epsilon_m
-        self.samples = 0
-        self._centers: List[List[Point]] = []
-        self._num: List[List[float]] = []
-        self._den: List[List[float]] = []
-        for r in range(rows):
-            # Row 0 at the top (max y), exactly like ``grid_field``.
-            y = height_m * (rows - 0.5 - r) / rows
-            self._centers.append(
-                [Point(width_m * (c + 0.5) / cols, y) for c in range(cols)]
-            )
-            self._num.append([0.0] * cols)
-            self._den.append([0.0] * cols)
-
-    def add(self, sample: SpatialSample) -> None:
-        self.add_value(sample.position, sample.value)
-
-    def add_value(self, position: Point, value: float) -> None:
-        self.samples += 1
-        power = self.power
-        epsilon = self.epsilon_m
-        for r in range(self.rows):
-            centers = self._centers[r]
-            num = self._num[r]
-            den = self._den[r]
-            for c in range(self.cols):
-                distance = max(epsilon, position.distance_to(centers[c]))
-                weight = 1.0 / distance**power
-                num[c] += weight * value
-                den[c] += weight
-
-    def grid(self) -> List[List[float]]:
-        """The interpolated field; needs at least one sample."""
-        if self.samples == 0:
-            raise ValueError("need at least one sample")
-        return [
-            [self._num[r][c] / self._den[r][c] for c in range(self.cols)]
-            for r in range(self.rows)
-        ]
-
-
-class StreamingStateTime:
-    """Per-radio-state occupancy totals folded from transitions.
-
-    A memory-flat replacement for summing
-    :class:`~repro.analysis.trace.RadioTraceRecorder` segments: feed
-    it every ``(old, new, time)`` transition and ask for
-    :meth:`time_in_state` at any cut-off.  Attach with
-    ``modem.add_state_listener(lambda old, new:
-    tracker.transition(old, new, sim.now))``.
-    """
-
-    def __init__(self, initial_state, start: float = 0.0) -> None:
-        self._totals: Dict[Hashable, float] = {}
-        self._open_state = initial_state
-        self._open_since = start
-        self.transitions = 0
-
-    def transition(self, old, new, now: float) -> None:
-        if old is not self._open_state:
-            raise ValueError(
-                f"transition from {old!r} but {self._open_state!r} is open"
-            )
-        self.transitions += 1
-        held = max(0.0, now - self._open_since)
-        self._totals[old] = self._totals.get(old, 0.0) + held
-        self._open_state = new
-        self._open_since = now
-
-    @property
-    def current_state(self):
-        return self._open_state
-
-    def time_in_state(self, state, *, until: float) -> float:
-        total = self._totals.get(state, 0.0)
-        if state is self._open_state:
-            total += max(0.0, until - self._open_since)
-        return total
-
-    def totals(self, *, until: float) -> Dict[Hashable, float]:
-        states = set(self._totals) | {self._open_state}
-        return {s: self.time_in_state(s, until=until) for s in states}
 
 
 class ClaimsAccumulator:

@@ -195,17 +195,11 @@ class FederatedSenseAid:
         region_id = self.region_for(task.center, healthy_only=True)
         self._instances[region_id].submit_task(task, data_callback)
         now = self._sim.now
-        duration = task.duration_s()
-        end_time = (
-            task.end_time
-            if task.end_time is not None
-            else (now + duration if duration is not None else now)
-        )
         self._task_meta[task.task_id] = {
             "region": region_id,
             "task": task,
             "callback": data_callback,
-            "end_time": end_time,
+            "end_time": task.window_end(now, now),
         }
         return region_id
 
@@ -270,20 +264,11 @@ class FederatedSenseAid:
         for task_id, meta in list(self._task_meta.items()):
             if meta["region"] != failed_region:
                 continue
-            remaining = meta["end_time"] - now
-            if remaining <= 0 or meta["task"].sampling_period_s is None:
+            if meta["end_time"] - now <= 0:
                 continue
-            remainder = TaskSpec(
-                sensor_type=meta["task"].sensor_type,
-                center=meta["task"].center,
-                area_radius_m=meta["task"].area_radius_m,
-                spatial_density=meta["task"].spatial_density,
-                sampling_period_s=meta["task"].sampling_period_s,
-                start_time=now,
-                end_time=meta["end_time"],
-                device_type=meta["task"].device_type,
-                origin=meta["task"].origin,
-            )
+            remainder = meta["task"].remainder(now, meta["end_time"])
+            if remainder is None:
+                continue
             # Ownership moves to the backup: scrub the task from the
             # failed instance's (persistent) datastore so a later
             # recovery cannot double-schedule it.

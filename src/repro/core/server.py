@@ -231,7 +231,7 @@ class SenseAidServer:
         #: was expanded from, needed to resume with original numbering.
         self._task_starts: Dict[int, float] = {}
         #: Durable log (``repro.core.wal.DurableLog``-shaped, duck
-        #: typed so core.server never imports the persistence stack).
+        #: typed so core.server never imports core.wal).
         self._wal = wal
         # --- Incremental qualification (see docs/performance.md) ---
         #: Registration-membership change counter; together with the
@@ -568,12 +568,7 @@ class SenseAidServer:
 
     def _task_end(self, task: TaskSpec, start: float) -> float:
         """Absolute end of a task's sensing window."""
-        if task.end_time is not None:
-            return task.end_time
-        duration = task.duration_s()
-        if duration is not None:
-            return start + duration
-        return start + self.config.one_shot_deadline_s
+        return task.window_end(start, start + self.config.one_shot_deadline_s)
 
     def update_task(self, task_id: int, **changes) -> TaskSpec:
         """Update parameters of an existing task.

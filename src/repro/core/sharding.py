@@ -671,20 +671,11 @@ class ShardedSenseAid:
         for task_id, meta in list(self._task_meta.items()):
             if meta["shard"] != shard_id:
                 continue
-            old_task: TaskSpec = meta["task"]
-            if meta["end_time"] - now <= 0 or old_task.sampling_period_s is None:
+            if meta["end_time"] - now <= 0:
                 continue
-            remainder = TaskSpec(
-                sensor_type=old_task.sensor_type,
-                center=old_task.center,
-                area_radius_m=old_task.area_radius_m,
-                spatial_density=old_task.spatial_density,
-                sampling_period_s=old_task.sampling_period_s,
-                start_time=now,
-                end_time=meta["end_time"],
-                device_type=old_task.device_type,
-                origin=old_task.origin,
-            )
+            remainder = meta["task"].remainder(now, meta["end_time"])
+            if remainder is None:
+                continue
             replacement.submit_task(remainder, meta["callback"])
             parent: Optional[CrossShardTask] = meta.get("parent")
             if parent is not None:
@@ -719,12 +710,7 @@ class ShardedSenseAid:
         allocation = self._split_density(task)
         handle.allocations = dict(allocation)
         now = self._sim.now
-        duration = task.duration_s()
-        end_time = (
-            task.end_time
-            if task.end_time is not None
-            else (now + duration if duration is not None else now)
-        )
+        end_time = task.window_end(now, now)
         for shard_id, density in allocation.items():
             if density <= 0:
                 continue

@@ -99,6 +99,40 @@ class TaskSpec:
             return self.start_time
         return now
 
+    def window_end(self, start: float, one_shot_end: float) -> float:
+        """Absolute end of the sensing window opened at ``start``.
+
+        An explicit end time wins, then ``start`` plus the duration; a
+        task with neither ends at ``one_shot_end``, which the caller
+        picks.
+        """
+        if self.end_time is not None:
+            return self.end_time
+        duration = self.duration_s()
+        if duration is not None:
+            return start + duration
+        return one_shot_end
+
+    def remainder(
+        self, start_time: float, end_time: float, *, keep_id: bool = False
+    ) -> Optional["TaskSpec"]:
+        """This periodic task re-windowed to ``[start_time, end_time]``.
+
+        Crash recovery resumes a task under its original id
+        (``keep_id=True``), so ``expand_requests(..., resume=True)``
+        keeps the original request numbering; a failover hand-off draws
+        a fresh id.  One-shot tasks have no remainder (None).
+        """
+        if self.one_shot:
+            return None
+        return replace(
+            self,
+            sampling_duration_s=None,
+            start_time=start_time,
+            end_time=end_time,
+            task_id=self.task_id if keep_id else next(_task_ids),
+        )
+
     def request_count(self) -> int:
         """How many requests this task expands to."""
         if self.one_shot:

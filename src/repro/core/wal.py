@@ -2,12 +2,21 @@
 
 A carrier-edge control plane cannot afford to lose registration,
 assignment, or accounting state across a process crash.  This module
-makes :class:`~repro.core.server.SenseAidServer` durable:
+makes :class:`~repro.core.server.SenseAidServer` durable, and is the
+one durability path in the package:
 
+- :func:`checkpoint_server` — the server's durable state as a
+  JSON-compatible snapshot: device records, each task with its
+  absolute window (so a restore re-submits exactly the unexpired
+  remainder under its original identity and request numbering), the
+  aggregate :class:`~repro.core.server.ServerStats`, the burned
+  idempotency keys, and the pending per-request assignment
+  bookkeeping.
 - :class:`WriteAheadLog` — the storage layer: an append-only JSON-lines
-  log (``wal.jsonl``) plus an atomically-replaced checkpoint file
-  (``checkpoint.json``).  ``compact()`` snapshots the full durable
-  state and truncates the log, bounding replay time.
+  log (``wal.jsonl``) plus a CRC-footed checkpoint file
+  (``checkpoint.json``) replaced atomically through
+  :func:`repro.storage.atomic_write`.  ``compact()`` installs a
+  snapshot and truncates the log, bounding replay time.
 - :class:`DurableLog` — the server-facing recorder: one ``record_*``
   method per state-mutating control-plane event (register, deregister,
   task submit/update/delete, selection, upload accept + key burn), and
@@ -22,33 +31,145 @@ makes :class:`~repro.core.server.SenseAidServer` durable:
 
 The server never imports this module; it calls the duck-typed ``wal``
 object handed to its constructor, so the dependency points one way
-(wal → persistence → server).
+(wal → server).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.persistence import (
-    SUPPORTED_VERSIONS,
-    atomic_write_json,
-    checkpoint_server,
+from repro.core.datastores import (
     record_from_dict,
     record_to_dict,
-    restore_pending,
-    resume_task_spec,
-    stats_from_dict,
+    task_from_dict,
     task_to_dict,
 )
-from repro.core.server import SenseAidServer, SensedDataPoint, _RequestTracking
+from repro.core.server import (
+    SenseAidServer,
+    SensedDataPoint,
+    ServerStats,
+    _RequestTracking,
+)
 from repro.core.tasks import SensingRequest, TaskSpec
+from repro.storage import atomic_write
 
 DataCallback = Callable[[SensedDataPoint], None]
 
 CRC_FIELD = "crc32"
+
+FORMAT_VERSION = 2
+#: Checkpoint versions recovery understands.  v1 snapshots (devices +
+#: task remainders only) restore with the v2 fields defaulting to empty.
+SUPPORTED_VERSIONS = (1, 2)
+
+
+# ----------------------------------------------------------------------
+# Snapshot codecs
+# ----------------------------------------------------------------------
+
+
+def stats_from_dict(data: dict) -> ServerStats:
+    known = {f.name for f in dataclasses.fields(ServerStats)}
+    return ServerStats(**{k: v for k, v in data.items() if k in known})
+
+
+def _pending_to_dict(tracking: _RequestTracking) -> dict:
+    """One in-flight request's assignment bookkeeping, serialised."""
+    request = tracking.request
+    return {
+        "request_id": request.request_id,
+        "task_id": request.task.task_id,
+        "sequence": request.sequence,
+        "issue_time": request.issue_time,
+        "deadline": request.deadline,
+        "assigned": sorted(tracking.assigned),
+        "received": sorted(tracking.received),
+        "satisfied": tracking.satisfied,
+    }
+
+
+def checkpoint_server(server: SenseAidServer) -> dict:
+    """Snapshot the server's durable state as a JSON-compatible dict.
+
+    Tasks are stored with an absolute end time *and* their effective
+    start so a restore at a later point can re-submit exactly the
+    unexpired remainder, numbered like the original requests.
+    """
+    now = server._sim.now
+    tasks = []
+    for task in server.tasks.all_tasks():
+        entry = task_to_dict(task)
+        start = server._task_starts.get(
+            task.task_id, task.start_time if task.start_time is not None else now
+        )
+        entry["absolute_end"] = task.window_end(start, now)
+        entry["effective_start"] = start
+        tasks.append(entry)
+    pending = [
+        _pending_to_dict(tracking)
+        for _, tracking in sorted(server._tracking.items())
+    ]
+    return {
+        "version": FORMAT_VERSION,
+        "taken_at": now,
+        "epoch": server.epoch,
+        "devices": [record_to_dict(r) for r in server.devices.records()],
+        "tasks": tasks,
+        "stats": dataclasses.asdict(server.stats),
+        "seen_upload_ids": sorted(server._seen_upload_ids),
+        "pending": pending,
+    }
+
+
+def resume_task_spec(entry: dict) -> Optional[TaskSpec]:
+    """The original-identity remainder a checkpointed task resumes as.
+
+    ``entry`` is a task dict plus its ``effective_start`` and
+    ``absolute_end``.  The window stays anchored at the *original*
+    effective start, so ``expand_requests(..., resume=True)``
+    regenerates exactly the not-yet-issued requests with their original
+    sequence numbers, issue times, and deadlines.  One-shot tasks do
+    not resume (None).
+    """
+    return task_from_dict(entry).remainder(
+        entry.get("effective_start", entry.get("start_time")),
+        entry["absolute_end"],
+        keep_id=True,
+    )
+
+
+def _restore_pending(server: SenseAidServer, pending) -> None:
+    """Rebuild in-flight request bookkeeping from a v2 checkpoint.
+
+    Only requests whose task survived the restore and whose deadline
+    is still in the future come back; the rest are history.
+    """
+    now = server._sim.now
+    for entry in pending:
+        task_id = entry["task_id"]
+        if task_id not in server.tasks or entry["deadline"] <= now:
+            continue
+        request = SensingRequest(
+            task=server.tasks.get(task_id),
+            sequence=entry["sequence"],
+            issue_time=entry["issue_time"],
+            deadline=entry["deadline"],
+        )
+        server._tracking[request.request_id] = _RequestTracking(
+            request=request,
+            assigned=set(entry["assigned"]),
+            received=set(entry["received"]),
+            satisfied=entry["satisfied"],
+        )
+
+
+# ----------------------------------------------------------------------
+# Storage layer
+# ----------------------------------------------------------------------
 
 
 class CheckpointCorruptError(ValueError):
@@ -97,10 +218,20 @@ class WriteAheadLog:
             directory, self.PREV_CHECKPOINT_NAME
         )
         self.fallbacks = 0
+        entries, intact_bytes = self._read_intact(self.log_path)
+        if os.path.exists(self.log_path) and (
+            os.path.getsize(self.log_path) > intact_bytes
+        ):
+            # A crash mid-append left a torn tail.  Cut it off so the
+            # next append starts on a fresh line instead of fusing onto
+            # the torn bytes (and being dropped with them).
+            with open(self.log_path, "r+b") as f:
+                f.truncate(intact_bytes)
+                f.flush()
+                os.fsync(f.fileno())
         self._seq = 0
-        for path in (self.prev_log_path, self.log_path):
-            for entry in self._entries_at(path):
-                self._seq = max(self._seq, entry.get("seq", 0))
+        for entry in self._entries_at(self.prev_log_path) + entries:
+            self._seq = max(self._seq, entry.get("seq", 0))
 
     def append(self, kind: str, **fields) -> dict:
         """Durably append one event; returns the stored entry."""
@@ -121,22 +252,32 @@ class WriteAheadLog:
         """
         return self._entries_at(self.log_path)
 
+    @classmethod
+    def _entries_at(cls, path: str) -> List[dict]:
+        return cls._read_intact(path)[0]
+
     @staticmethod
-    def _entries_at(path: str) -> List[dict]:
-        if not os.path.exists(path):
-            return []
+    def _read_intact(path: str) -> Tuple[List[dict], int]:
+        """The entries of the log's intact prefix and its length in bytes.
+
+        The prefix ends at the first line that is unterminated or does
+        not parse.
+        """
         out: List[dict] = []
-        with open(path, "r", encoding="utf-8") as f:
+        intact_bytes = 0
+        if not os.path.exists(path):
+            return out, intact_bytes
+        with open(path, "rb") as f:
             for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
+                if not line.endswith(b"\n"):
                     break
-                out.append(entry)
-        return out
+                if line.strip():
+                    try:
+                        out.append(json.loads(line))
+                    except ValueError:
+                        break
+                intact_bytes += len(line)
+        return out, intact_bytes
 
     def load_checkpoint(self) -> Optional[dict]:
         return self._load_checkpoint_at(self.checkpoint_path)
@@ -197,7 +338,9 @@ class WriteAheadLog:
         snapshot = dict(snapshot)
         snapshot[CRC_FIELD] = checkpoint_crc(snapshot)
         self._retain_previous()
-        atomic_write_json(self.checkpoint_path, snapshot)
+        atomic_write(
+            self.checkpoint_path, json.dumps(snapshot, indent=2).encode("utf-8")
+        )
         with open(self.log_path, "w", encoding="utf-8") as f:
             f.flush()
             os.fsync(f.fileno())
@@ -214,13 +357,7 @@ class WriteAheadLog:
                 os.remove(dst)
             return
         with open(src, "rb") as f:
-            payload = f.read()
-        tmp = dst + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, dst)
+            atomic_write(dst, f.read())
 
 
 class DurableLog:
@@ -422,7 +559,7 @@ class DurableLog:
             if callback is None:
                 continue
             server.submit_task(remainder, callback, resume=True)
-        restore_pending(server, snapshot.get("pending", ()))
+        _restore_pending(server, snapshot.get("pending", ()))
 
     def _replay_entry(
         self,
@@ -520,16 +657,7 @@ def _live_task_ids(server: SenseAidServer) -> List[int]:
         start = server._task_starts.get(
             task.task_id, task.start_time if task.start_time is not None else 0.0
         )
-        if task.end_time is not None:
-            end = task.end_time
-        else:
-            duration = task.duration_s()
-            end = (
-                start + duration
-                if duration is not None
-                else start + server.config.one_shot_deadline_s
-            )
-        if end > now:
+        if task.window_end(start, start + server.config.one_shot_deadline_s) > now:
             live.append(task.task_id)
     return sorted(live)
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from typing import Any, Optional, Tuple
+
+from repro.storage import atomic_write
 
 #: Bump to invalidate every existing cache entry (pickle layout or
 #: keying scheme changes).  v2: large payloads moved out of the entry
@@ -106,14 +107,7 @@ class ResultCache:
         else:
             entry["payload"] = value
         path = self.path_for(key)
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(entry, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            self._discard(tmp_path)
-            raise
+        atomic_write(path, pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
         return path
 
     def _store_object(self, digest: str, blob: bytes) -> str:
@@ -127,14 +121,7 @@ class ResultCache:
         path = self.object_path(digest)
         if os.path.exists(path):
             return path
-        fd, tmp_path = tempfile.mkstemp(dir=self.objects_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp_path, path)
-        except BaseException:
-            self._discard(tmp_path)
-            raise
+        atomic_write(path, blob)
         return path
 
     def _load_object(self, ref: Any) -> Optional[Any]:

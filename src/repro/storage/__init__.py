@@ -8,6 +8,7 @@ from repro.storage.base import (
     CHECKPOINT_SCHEMA_VERSION,
     ConformanceError,
     StorageBackend,
+    atomic_write,
     check_backend_conformance,
     snapshot_dict,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "MemoryBackend",
     "SqliteBackend",
     "StorageBackend",
+    "atomic_write",
     "check_backend_conformance",
     "default_spec",
     "resolve_backend",

@@ -21,7 +21,7 @@ Two shapes of state, two sets of operations:
 
 Checkpoints snapshot the document namespaces plus per-log watermarks
 (entry counts) into one JSON-compatible dict — the exact serialization
-story :mod:`repro.core.persistence` already proves — and ``restore``
+story :mod:`repro.core.datastores` codecs already use — and ``restore``
 rolls the backend back to it (documents replaced, logs truncated to
 the watermark).  Both backends share the format, so a checkpoint taken
 on one backend restores onto the other.
@@ -34,6 +34,8 @@ shipped backend, and ``repro storage check`` runs it from the CLI.
 from __future__ import annotations
 
 import abc
+import os
+import tempfile
 from typing import Any, Dict, Iterator, List, Optional
 
 #: Version stamp of the checkpoint snapshot format.
@@ -154,6 +156,34 @@ def snapshot_dict(backend: StorageBackend, tag: str) -> Doc:
         },
         "log_watermarks": {ns: backend.log_count(ns) for ns in spaces["logs"]},
     }
+
+
+def atomic_write(path: str, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data``, crash-safely.
+
+    The bytes go to a temporary file in the target's own directory (so
+    the rename never crosses filesystems), are fsynced, and only then
+    renamed over the target: a crash at any point leaves the previous
+    file or the new one, never a truncated one.  The temporary file is
+    removed on any failure.  Every file the package replaces in place
+    goes through here.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
 
 
 class ConformanceError(AssertionError):

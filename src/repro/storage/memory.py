@@ -4,8 +4,8 @@ Documents live in plain dicts, logs in plain lists; nothing is
 serialized on the hot path, so a server on this backend performs
 exactly like the seed did.  Checkpoints deep-copy state through the
 shared JSON-compatible snapshot format; with a ``directory`` the
-snapshot is also written crash-safely to disk (temp file + atomic
-rename), so a fresh process can :meth:`~MemoryBackend.restore` what an
+snapshot is also written crash-safely to disk (temp file, fsync,
+atomic rename), so a fresh process can :meth:`~MemoryBackend.restore` what an
 earlier one checkpointed — the same discipline the sqlite backend gets
 for free from its file.
 """
@@ -15,13 +15,13 @@ from __future__ import annotations
 import copy
 import json
 import os
-import tempfile
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.storage.base import (
     CHECKPOINT_SCHEMA_VERSION,
     Doc,
     StorageBackend,
+    atomic_write,
     snapshot_dict,
 )
 
@@ -141,18 +141,10 @@ class MemoryBackend(StorageBackend):
         return os.path.join(self.directory, f"checkpoint-{safe}.json")
 
     def _spill_checkpoint(self, tag: str, snap: Doc) -> None:
-        path = self._checkpoint_path(tag)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(snap, f, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self._checkpoint_path(tag),
+            json.dumps(snap, sort_keys=True).encode("utf-8"),
+        )
 
     def _load_spilled_checkpoints(self) -> None:
         for name in sorted(os.listdir(self.directory)):

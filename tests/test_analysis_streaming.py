@@ -1,9 +1,8 @@
-"""The streaming accumulators must agree with their batch twins.
+"""The streaming accumulators must agree with their batch twins, exactly.
 
-Where the accumulation order matches the batch computation's order
-(fairness counts, heatmap cells, state-time totals, p95/max/count) the
-agreement is exact; the latency *mean* — which the batch computes over
-a sorted copy — is compared to float tolerance.
+``delivery_latency`` and ``grid_field`` are folds over their
+accumulators, so those twins are also checked against an independent
+reference (the sorted-sum statistics, per-cell ``idw_interpolate``).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fairness import fairness_report
-from repro.analysis.heatmap import SpatialSample, grid_field
+from repro.analysis.heatmap import SpatialSample, grid_field, idw_interpolate
 from repro.analysis.quality import delivery_latency
 from repro.analysis.streaming import (
     ClaimsAccumulator,
@@ -23,10 +22,8 @@ from repro.analysis.streaming import (
     StreamingLatency,
     StreamingMean,
     StreamingSelectionCounts,
-    StreamingStateTime,
 )
 from repro.analysis.truth import discover_truth
-from repro.cellular.rrc import RRCState
 from repro.core.server import SensedDataPoint
 from repro.devices.sensors import SensorType
 from repro.environment.geometry import Point
@@ -104,10 +101,15 @@ class TestStreamingLatency:
         for point in points:
             acc.add_point(point)
         stream = acc.stats()
-        assert stream.count == batch.count
-        assert stream.max_s == batch.max_s  # exact
-        assert stream.p95_s == batch.p95_s  # exact, not a sketch
-        assert stream.mean_s == pytest.approx(batch.mean_s, rel=1e-12)
+        assert stream == batch  # exact, mean included
+        ordered = sorted(max(0.0, p.delivered_at - p.sensed_at) for p in points)
+        if ordered:
+            assert stream.count == len(ordered)
+            assert stream.mean_s == sum(ordered) / len(ordered)
+            assert stream.max_s == ordered[-1]
+            assert stream.p95_s == ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
+        else:
+            assert stream.count == 0
 
     def test_compact_retention(self):
         acc = StreamingLatency()
@@ -133,43 +135,17 @@ class TestStreamingHeatmap:
         acc = StreamingHeatmap(800.0, 400.0, cols=10, rows=5)
         for sample in samples:
             acc.add(sample)
-        assert acc.grid() == grid_field(samples, 800.0, 400.0, cols=10, rows=5)
+        grid = acc.grid()
+        assert grid == grid_field(samples, 800.0, 400.0, cols=10, rows=5)
+        for r in range(5):
+            y = 400.0 * (5 - 0.5 - r) / 5
+            for c in range(10):
+                at = Point(800.0 * (c + 0.5) / 10, y)
+                assert grid[r][c] == idw_interpolate(samples, at)  # exact
 
     def test_needs_a_sample(self):
         with pytest.raises(ValueError):
             StreamingHeatmap(100.0, 100.0).grid()
-
-
-class TestStreamingStateTime:
-    def test_matches_segment_summation(self):
-        # A hand-built transition history (the recorder idiom without
-        # needing a modem): idle → promoting → active → tail → idle.
-        acc = StreamingStateTime(RRCState.IDLE, start=0.0)
-        history = [
-            (RRCState.IDLE, RRCState.PROMOTING, 5.0),
-            (RRCState.PROMOTING, RRCState.ACTIVE, 6.5),
-            (RRCState.ACTIVE, RRCState.TAIL, 9.0),
-            (RRCState.TAIL, RRCState.IDLE, 20.0),
-        ]
-        for old, new, now in history:
-            acc.transition(old, new, now)
-        assert acc.time_in_state(RRCState.IDLE, until=30.0) == 5.0 + 10.0
-        assert acc.time_in_state(RRCState.PROMOTING, until=30.0) == 1.5
-        assert acc.time_in_state(RRCState.ACTIVE, until=30.0) == 2.5
-        assert acc.time_in_state(RRCState.TAIL, until=30.0) == 11.0
-        totals = acc.totals(until=30.0)
-        assert sum(totals.values()) == 30.0
-        assert acc.transitions == 4
-
-    def test_open_state_accrues_to_cutoff(self):
-        acc = StreamingStateTime(RRCState.ACTIVE, start=2.0)
-        assert acc.time_in_state(RRCState.ACTIVE, until=7.0) == 5.0
-        assert acc.current_state is RRCState.ACTIVE
-
-    def test_mismatched_transition_rejected(self):
-        acc = StreamingStateTime(RRCState.IDLE)
-        with pytest.raises(ValueError):
-            acc.transition(RRCState.TAIL, RRCState.IDLE, 1.0)
 
 
 class TestClaimsAccumulator:

@@ -1,4 +1,5 @@
-"""Tests for server checkpointing and the heat-map renderer."""
+"""Tests for server checkpointing (through the write-ahead log) and the
+heat-map renderer."""
 
 from __future__ import annotations
 
@@ -12,21 +13,34 @@ from repro.analysis.heatmap import (
     idw_interpolate,
     render_heatmap,
 )
-from repro.core.persistence import (
-    checkpoint_server,
-    load_checkpoint,
+from repro.cellular.enodeb import ENodeB, TowerRegistry
+from repro.core.datastores import (
     record_from_dict,
     record_to_dict,
-    restore_server,
-    save_checkpoint,
     task_from_dict,
     task_to_dict,
 )
+from repro.core.server import SenseAidServer
+from repro.core.wal import DurableLog, WriteAheadLog, checkpoint_server
 from repro.devices.sensors import SensorType
 from repro.environment.geometry import Point
 from repro.sim.engine import Simulator
 from tests.test_core_datastores_queues import make_record
-from tests.test_core_server import make_setup, make_spec
+from tests.test_core_server import CENTER, make_setup, make_spec
+
+
+def recover_fresh(sim, network, snapshot, wal_dir, data_callbacks):
+    """Install ``snapshot`` as a WAL checkpoint, then rebuild a brand-new
+    server from it the way a restarted process does."""
+    WriteAheadLog(str(wal_dir)).compact(snapshot)
+    fresh = SenseAidServer(
+        sim,
+        TowerRegistry([ENodeB("t1", CENTER, coverage_radius_m=5000.0)]),
+        network,
+        wal=DurableLog(str(wal_dir)),
+    )
+    fresh._wal.recover_into(fresh, data_callbacks)
+    return fresh
 
 
 class TestCodecs:
@@ -73,25 +87,25 @@ class TestCheckpoint:
     def test_save_and_load(self, tmp_path):
         sim = Simulator()
         server, _, _, _ = make_setup(sim, n_devices=2)
-        path = str(tmp_path / "checkpoint.json")
-        save_checkpoint(server, path)
-        snapshot = load_checkpoint(path)
+        wal = WriteAheadLog(str(tmp_path))
+        wal.compact(checkpoint_server(server))
+        snapshot = wal.load_checkpoint()
         assert len(snapshot["devices"]) == 2
 
     def test_load_rejects_unknown_version(self, tmp_path):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w") as f:
+        wal = WriteAheadLog(str(tmp_path))
+        with open(wal.checkpoint_path, "w") as f:
             json.dump({"version": 99}, f)
         with pytest.raises(ValueError):
-            load_checkpoint(path)
+            wal.load_checkpoint()
 
-    def test_restore_into_fresh_server(self):
+    def test_restore_into_fresh_server(self, tmp_path):
         # Original server: 2 devices, a 1-hour campaign; checkpoint at
         # t=700, then rebuild a brand-new server from the snapshot.
         sim = Simulator()
         server, network, devices, clients = make_setup(sim, n_devices=2)
         data = []
-        server.submit_task(
+        task_id = server.submit_task(
             make_spec(
                 spatial_density=1,
                 sampling_period_s=600.0,
@@ -103,24 +117,21 @@ class TestCheckpoint:
         snapshot = checkpoint_server(server)
         server.shutdown()
 
-        from repro.cellular.enodeb import ENodeB, TowerRegistry
-        from repro.core.server import SenseAidServer
-        from tests.test_core_server import CENTER
-
-        fresh = SenseAidServer(
-            sim,
-            TowerRegistry([ENodeB("t0", CENTER, coverage_radius_m=5000.0)]),
-            network,
-        )
-        resumed = restore_server(
-            fresh, snapshot, data_callbacks={"cas": data.append}
-        )
-        assert resumed == 1
+        fresh = recover_fresh(sim, network, snapshot, tmp_path, {"cas": data.append})
+        assert [t.task_id for t in fresh.tasks.all_tasks()] == [task_id]
         restored = fresh.devices.record("d0")
         assert restored.imei_hash == devices[0].imei_hash
         assert restored.times_selected == server.devices.record("d0").times_selected
+        # Original identity and request numbering: the remainder is
+        # anchored at the original start, so the next request is r2.
+        resumed = fresh.tasks.get(task_id)
+        assert (resumed.start_time, resumed.end_time) == (0.0, 3600.0)
+        pending = resumed.expand_requests(sim.now, resume=True)
+        assert [r.request_id for r in pending] == [
+            f"task{task_id}-r{i}" for i in range(2, 6)
+        ]
 
-    def test_restore_skips_expired_tasks(self):
+    def test_restore_skips_expired_tasks(self, tmp_path):
         sim = Simulator()
         server, network, _, _ = make_setup(sim, n_devices=1)
         server.submit_task(
@@ -128,16 +139,36 @@ class TestCheckpoint:
         )
         snapshot = checkpoint_server(server)
         sim.run(until=1000.0)  # past the task's end
-        from repro.cellular.enodeb import ENodeB, TowerRegistry
-        from repro.core.server import SenseAidServer
-        from tests.test_core_server import CENTER
+        fresh = recover_fresh(sim, network, snapshot, tmp_path, {"cas": lambda p: None})
+        assert fresh.tasks.all_tasks() == []
 
-        fresh = SenseAidServer(
-            sim,
-            TowerRegistry([ENodeB("t1", CENTER, coverage_radius_m=5000.0)]),
-            network,
+    def test_one_shot_tasks_not_resumed(self, tmp_path):
+        sim = Simulator()
+        server, network, _, _ = make_setup(sim, n_devices=1)
+        # A one-shot sample with a window still open at the checkpoint.
+        server.submit_task(make_spec(sampling_period_s=None), lambda p: None)
+        snapshot = checkpoint_server(server)
+        assert snapshot["tasks"][0]["absolute_end"] > sim.now
+        fresh = recover_fresh(sim, network, snapshot, tmp_path, {"cas": lambda p: None})
+        assert fresh.tasks.all_tasks() == []
+
+    def test_v1_snapshot_restores(self, tmp_path):
+        # v1 snapshots carry devices + task remainders only; the v2
+        # fields (stats, burned keys, pending) restore as empty.
+        sim = Simulator()
+        server, network, _, _ = make_setup(sim, n_devices=2)
+        task_id = server.submit_task(
+            make_spec(spatial_density=1, sampling_duration_s=3600.0), lambda p: None
         )
-        assert restore_server(fresh, snapshot, {"cas": lambda p: None}) == 0
+        sim.run(until=100.0)
+        v2 = checkpoint_server(server)
+        v1 = {key: v2[key] for key in ("taken_at", "devices", "tasks")}
+        v1["version"] = 1
+        fresh = recover_fresh(sim, network, v1, tmp_path, {"cas": lambda p: None})
+        assert set(fresh.devices.device_ids()) == {"d0", "d1"}
+        assert [t.task_id for t in fresh.tasks.all_tasks()] == [task_id]
+        assert fresh._seen_upload_ids == set()
+        assert fresh.epoch == 2
 
 
 class TestHeatmap:

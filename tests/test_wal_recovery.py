@@ -13,13 +13,6 @@ from repro.cellular.network import CellularNetwork, DeliveryReceipt
 from repro.cellular.packets import Message, MessageKind
 from repro.clientlib.client import SenseAidClient
 from repro.core.config import RetryPolicy, SenseAidConfig, ServerMode
-from repro.core.persistence import (
-    atomic_write_json,
-    checkpoint_server,
-    load_checkpoint,
-    save_checkpoint,
-    stats_from_dict,
-)
 from repro.core.server import SenseAidServer
 from repro.core.wal import (
     CheckpointCorruptError,
@@ -28,10 +21,14 @@ from repro.core.wal import (
     WriteAheadLog,
     check_recovery_invariants,
     checkpoint_crc,
+    checkpoint_server,
     durable_state,
+    stats_from_dict,
 )
 from repro.faults import FaultInjector, FaultPlan
+from repro.runner.cache import ResultCache
 from repro.sim.engine import Simulator
+from repro.storage import MemoryBackend, atomic_write
 from tests.conftest import make_device
 from tests.test_core_server import CENTER, make_spec
 
@@ -43,6 +40,10 @@ RETRY = RetryPolicy(
     jitter_fraction=0.0,
     tail_wait_max_s=30.0,
 )
+
+
+def write_json(path, payload):
+    atomic_write(path, json.dumps(payload).encode("utf-8"))
 
 
 def wal_setup(sim, wal_dir, n_devices=2, *, retry=RETRY, config=None, plan=None):
@@ -96,6 +97,21 @@ class TestWriteAheadLog:
             f.write('{"seq": 3, "kind": "regi')  # crash mid-append
         assert [e["seq"] for e in wal.entries()] == [1, 2]
 
+    def test_append_after_torn_tail_survives_reopen(self, tmp_path):
+        # A crash mid-append leaves a partial line; the next process's
+        # first append (recovery's restart record) must not fuse onto it.
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append("a")
+        wal.append("b")
+        with open(wal.log_path, "a", encoding="utf-8") as f:
+            f.write('{"seq": 3, "kind": "c", "x"')
+        reopened = WriteAheadLog(str(tmp_path))
+        entry = reopened.append("restart", epoch=2)
+        assert entry["seq"] == 3
+        assert [e["kind"] for e in reopened.entries()] == ["a", "b", "restart"]
+        with open(wal.log_path, "rb") as f:
+            assert f.read().endswith(b'"restart", "seq": 3}\n')
+
     def test_nothing_after_a_torn_line_is_trusted(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
         wal.append("register", device_id="d0")
@@ -113,7 +129,7 @@ class TestWriteAheadLog:
 
     def test_unsupported_checkpoint_version_rejected(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        atomic_write_json(wal.checkpoint_path, {"version": 99})
+        write_json(wal.checkpoint_path, {"version": 99})
         with pytest.raises(ValueError, match="version"):
             wal.load_checkpoint()
 
@@ -124,27 +140,87 @@ class TestWriteAheadLog:
 
 
 class TestAtomicCheckpointWrites:
-    def test_save_checkpoint_round_trips(self, tmp_path):
+    def test_compacted_checkpoint_round_trips(self, tmp_path):
         sim = Simulator(seed=5)
         server, _, _, _ = wal_setup(sim, tmp_path / "wal")
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(server, path)
-        snapshot = load_checkpoint(path)
+        wal = WriteAheadLog(str(tmp_path / "ckpt"))
+        wal.compact(checkpoint_server(server))
+        snapshot = wal.load_checkpoint()
         assert snapshot["version"] == 2
         assert {d["device_id"] for d in snapshot["devices"]} == {"d0", "d1"}
-        assert not [
-            name for name in os.listdir(str(tmp_path)) if name.endswith(".tmp")
-        ]
+        assert not [name for name in os.listdir(wal.directory) if name.endswith(".tmp")]
 
-    def test_failed_write_leaves_previous_file_intact(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        atomic_write_json(path, {"version": 2, "generation": 1})
-        with pytest.raises(TypeError):
-            atomic_write_json(path, {"version": 2, "bad": {1, 2}})
-        assert load_checkpoint(path)["generation"] == 1
-        assert not [
-            name for name in os.listdir(str(tmp_path)) if name.endswith(".tmp")
-        ]
+    def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
+        wal = WriteAheadLog(str(tmp_path))
+        write_json(wal.checkpoint_path, {"version": 2, "generation": 1})
+
+        def fsync_fails(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fsync_fails)
+        with pytest.raises(OSError):
+            write_json(wal.checkpoint_path, {"version": 2, "generation": 2})
+        monkeypatch.undo()
+        assert wal.load_checkpoint()["generation"] == 1
+        assert not [name for name in os.listdir(str(tmp_path)) if name.endswith(".tmp")]
+
+
+def _wal_writer(directory):
+    wal = WriteAheadLog(directory)
+    wal.compact({"version": 2, "generation": 1})
+    return wal.checkpoint_path, lambda: wal.compact({"version": 2, "generation": 2})
+
+
+def _memory_spill_writer(directory):
+    backend = MemoryBackend(directory=directory)
+    backend.put_doc("ns", "k", {"generation": 1})
+    backend.checkpoint("tag")
+
+    def rewrite():
+        backend.put_doc("ns", "k", {"generation": 2})
+        backend.checkpoint("tag")
+
+    return backend._checkpoint_path("tag"), rewrite
+
+
+def _result_cache_writer(directory):
+    cache = ResultCache(directory)
+    return cache.put("key", {"generation": 1}), lambda: cache.put(
+        "key", {"generation": 2}
+    )
+
+
+@pytest.mark.parametrize(
+    "make_writer",
+    [_wal_writer, _memory_spill_writer, _result_cache_writer],
+    ids=["wal-compact", "memory-spill", "result-cache-put"],
+)
+def test_failed_replace_keeps_previous_file(tmp_path, monkeypatch, make_writer):
+    """Every caller of the shared atomic writer: when ``os.replace``
+    fails, the previous file is intact and no temporary file remains."""
+    target, rewrite = make_writer(str(tmp_path))
+    with open(target, "rb") as f:
+        before = f.read()
+    real_replace = os.replace
+
+    def replace_fails(src, dst):
+        if os.path.abspath(dst) == os.path.abspath(target):
+            raise OSError("replace failed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_fails)
+    with pytest.raises(OSError, match="replace failed"):
+        rewrite()
+    monkeypatch.undo()
+    with open(target, "rb") as f:
+        assert f.read() == before
+    leftovers = [
+        name
+        for _, _, names in os.walk(str(tmp_path))
+        for name in names
+        if name.endswith(".tmp")
+    ]
+    assert leftovers == []
 
 
 class TestCheckpointV2:
@@ -177,12 +253,10 @@ class TestCheckpointV2:
             assert by_id[request_id]["received"] == sorted(tracking.received)
             assert by_id[request_id]["satisfied"] == tracking.satisfied
 
-    def test_restore_server_round_trips_new_fields(self, tmp_path):
-        from repro.core.persistence import restore_server
-
+    def test_recover_into_round_trips_new_fields(self, tmp_path):
         sim, server, network, collected = self._run_scenario(tmp_path)
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(server, path)
+        fresh_dir = str(tmp_path / "fresh")
+        WriteAheadLog(fresh_dir).compact(checkpoint_server(server))
 
         registry = TowerRegistry([ENodeB("t1", CENTER, coverage_radius_m=5000.0)])
         fresh = SenseAidServer(
@@ -190,12 +264,11 @@ class TestCheckpointV2:
             registry,
             network,
             SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
+            wal=DurableLog(fresh_dir),
         )
-        resumed = restore_server(
-            fresh, load_checkpoint(path), {"cas": lambda p: None}
-        )
-        assert resumed == 1
-        assert fresh.epoch == server.epoch
+        fresh._wal.recover_into(fresh, {"cas": lambda p: None})
+        assert len(fresh.tasks.all_tasks()) == 1
+        assert fresh.epoch == server.epoch + 1
         assert fresh.stats.data_points == server.stats.data_points
         assert fresh.stats.requests_satisfied == server.stats.requests_satisfied
         assert fresh._seen_upload_ids == server._seen_upload_ids
@@ -475,7 +548,7 @@ class TestCheckpointCorruption:
 
     def test_legacy_checkpoint_without_crc_accepted(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        atomic_write_json(wal.checkpoint_path, {"version": 2, "marker": 5})
+        write_json(wal.checkpoint_path, {"version": 2, "marker": 5})
         assert wal.load_checkpoint()["marker"] == 5
 
     def test_recovery_base_clean_path(self, tmp_path):
