@@ -28,11 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.cellular.spatial import Cell, UniformGridIndex
 from repro.environment.geometry import Point
 from repro.sim.perf import PerfRegistry
+
+#: A nearest-tower candidate: (tower id, x, y).
+_Candidate = Tuple[str, float, float]
+#: Relative slack on the candidate bound, far above ``hypot``'s and the
+#: cell arithmetic's rounding error (a few ulps, ~1e-16 relative).
+_ROUNDING_SLACK = 1e-9
 
 
 @dataclass(eq=False)
@@ -101,8 +107,9 @@ class TowerRegistry:
         self._tower_members: Dict[str, Set[str]] = {t.tower_id: set() for t in towers}
         self.use_spatial_index = use_spatial_index
         self._grid = UniformGridIndex(cell_size_m)
-        #: Until when each device's observed position is provably fresh.
-        self._position_expiry: Dict[str, float] = {}
+        #: Until when each device's observed position is provably fresh,
+        #: and the mobility model that promised it.
+        self._position_expiry: Dict[str, Tuple[float, object]] = {}
         #: Devices re-read since their attachment was last recomputed.
         self._attach_dirty: Set[str] = set()
         self._clock = clock  # anything with a ``now`` attribute
@@ -112,8 +119,8 @@ class TowerRegistry:
         #: Bumped by tower fail/restore — invalidates nearest-tower caches.
         self._topology_version = 0
         self._attachments_topology = 0
-        #: Per-grid-cell unique nearest tower ("" = ambiguous cell).
-        self._cell_tower_cache: Dict[Cell, str] = {}
+        #: Per grid cell, the towers that can be nearest somewhere in it.
+        self._cell_candidates: Dict[Cell, Tuple[_Candidate, ...]] = {}
         self._positions_time: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -173,10 +180,12 @@ class TowerRegistry:
         tower is returned — devices stay nominally attached, and the
         fault layer drops their traffic until a tower is restored.
         """
-        candidates = [t for t in self._towers.values() if t.operational]
-        if not candidates:
-            candidates = list(self._towers.values())
-        return min(candidates, key=lambda t: t.position.distance_to(point))
+        return min(self._serving_towers(), key=lambda t: t.position.distance_to(point))
+
+    def _serving_towers(self) -> List[ENodeB]:
+        """Operational towers, or every tower during a total outage."""
+        candidates = self.operational_towers()
+        return candidates if candidates else list(self._towers.values())
 
     def operational_towers(self) -> List[ENodeB]:
         return [t for t in self._towers.values() if t.operational]
@@ -196,7 +205,7 @@ class TowerRegistry:
     def _note_topology_change(self) -> None:
         self._version += 1
         self._topology_version += 1
-        self._cell_tower_cache.clear()
+        self._cell_candidates.clear()
 
     def towers_covering(self, center: Point, radius_m: float) -> List[ENodeB]:
         """Towers whose coverage intersects a task's circular region."""
@@ -217,11 +226,11 @@ class TowerRegistry:
         device_id = getattr(device, "device_id")
         self._devices[device_id] = device
         position = self._observe_position(device_id, device, self._now())
-        tower = self.nearest_tower(position)
-        self._set_attachment(device_id, tower.tower_id)
+        tower_id = self._tower_id_for(position)
+        self._set_attachment(device_id, tower_id)
         self._attach_dirty.discard(device_id)
         self._version += 1
-        return tower
+        return self._towers[tower_id]
 
     def detach_device(self, device_id: str) -> None:
         if self._devices.pop(device_id, None) is None:
@@ -260,16 +269,21 @@ class TowerRegistry:
     def _observe_position(
         self, device_id: str, device: object, now: Optional[float]
     ) -> Point:
-        """Read a device's position into the grid; returns it."""
+        """Read a device's position into the grid; returns it.
+
+        The expiry is stored with the mobility model that promised it:
+        a device whose model has since been swapped is re-read however
+        long the old model said it would stand still.
+        """
         position = device.position()
         self._grid.update(device_id, position)
-        expiry = float("-inf")  # unknown mobility: always re-read
+        expiry = -math.inf  # unknown mobility: always re-read
+        mobility = getattr(device, "mobility", None)
         if now is not None:
-            mobility = getattr(device, "mobility", None)
             valid_until = getattr(mobility, "position_valid_until", None)
             if valid_until is not None:
                 expiry = valid_until(now)
-        self._position_expiry[device_id] = expiry
+        self._position_expiry[device_id] = (expiry, mobility)
         return position
 
     def refresh_positions(self) -> None:
@@ -286,11 +300,12 @@ class TowerRegistry:
             return
         with self._perf.measure("registry.refresh_positions") as m:
             reread = 0
+            expiries = self._position_expiry
             for device_id, device in self._devices.items():
-                if now is not None and self._position_expiry.get(
-                    device_id, float("-inf")
-                ) > now:
-                    continue
+                if now is not None:
+                    expiry, mobility = expiries[device_id]
+                    if expiry > now and device.mobility is mobility:
+                        continue
                 reread += 1
                 self._observe_position(device_id, device, now)
                 self._attach_dirty.add(device_id)
@@ -300,10 +315,10 @@ class TowerRegistry:
     def refresh_attachments(self) -> None:
         """Re-associate devices with their nearest towers (handover).
 
-        Only devices that may have moved since their last attachment
-        decision (plus everyone after a tower fail/restore) are
-        re-evaluated; per-grid-cell nearest-tower caching answers most
-        of those without touching every tower.
+        Only devices re-read since their last attachment decision (plus
+        everyone after a tower fail/restore) are re-evaluated, each
+        against its grid cell's few candidate towers rather than the
+        whole fleet of towers.
         """
         self.refresh_positions()
         with self._perf.measure("registry.refresh_attachments") as m:
@@ -328,37 +343,53 @@ class TowerRegistry:
         self._tower_members[tower_id].add(device_id)
 
     def _tower_id_for(self, position: Point) -> str:
-        """Nearest-tower id, via the per-cell cache when unambiguous."""
+        """Nearest-tower id: the first minimum over the cell's candidates.
+
+        Gives exactly :meth:`nearest_tower`'s answer, ties included —
+        see :meth:`_candidates_for_cell`.
+        """
         cell = self._grid.cell_of(position)
-        cached = self._cell_tower_cache.get(cell)
-        if cached is None:
-            cached = self._unique_tower_for_cell(cell)
-            self._cell_tower_cache[cell] = cached
-        if cached:
-            return cached
-        return self.nearest_tower(position).tower_id
+        candidates = self._cell_candidates.get(cell)
+        if candidates is None:
+            candidates = self._candidates_for_cell(cell)
+            self._cell_candidates[cell] = candidates
+        best_id, tx, ty = candidates[0]
+        if len(candidates) == 1:
+            return best_id
+        x, y = position.x, position.y
+        best = math.hypot(tx - x, ty - y)
+        for tower_id, tx, ty in candidates[1:]:
+            distance = math.hypot(tx - x, ty - y)
+            if distance < best:
+                best_id, best = tower_id, distance
+        return best_id
 
-    def _unique_tower_for_cell(self, cell: Cell) -> str:
-        """The tower nearest to *every* point of a cell, or ``""``.
+    def _candidates_for_cell(self, cell: Cell) -> Tuple[_Candidate, ...]:
+        """The towers, in registry order, that can be nearest in a cell.
 
-        A tower is provably nearest for the whole cell when its margin
-        over the runner-up (measured from the cell centre) exceeds the
-        cell diagonal — then no point of the cell can flip the order,
-        and the cached answer matches the exact per-device computation.
+        A point of the cell lies within half a diagonal ``h`` of the
+        centre ``c``, so a tower ``t`` can beat the centre's nearest
+        tower there only if ``d(c, t) <= d_min(c) + 2h``.  Towers past
+        that bound (plus a tiny slack for ``hypot`` rounding) are
+        strictly farther at every point of the cell; dropping them
+        while keeping registry order leaves ``min``'s first minimum —
+        :meth:`nearest_tower`'s answer — unchanged.
         """
         size = self._grid.cell_size_m
         center = Point((cell[0] + 0.5) * size, (cell[1] + 0.5) * size)
-        candidates = self.operational_towers()
-        if not candidates:
-            candidates = list(self._towers.values())
-        if len(candidates) == 1:
-            return candidates[0].tower_id
-        ranked = sorted(
-            (t.position.distance_to(center), t.tower_id) for t in candidates
+        towers = self._serving_towers()
+        distances = [t.position.distance_to(center) for t in towers]
+        nearest = min(distances)
+        diagonal = size * math.sqrt(2.0)
+        slack = _ROUNDING_SLACK * (
+            1.0 + nearest + diagonal + abs(center.x) + abs(center.y)
         )
-        if ranked[1][0] - ranked[0][0] > size * math.sqrt(2.0):
-            return ranked[0][1]
-        return ""
+        bound = nearest + diagonal + slack
+        return tuple(
+            (t.tower_id, t.position.x, t.position.y)
+            for t, distance in zip(towers, distances)
+            if distance <= bound
+        )
 
     def serving_tower(self, device_id: str) -> ENodeB:
         self._require(device_id)
@@ -444,6 +475,14 @@ class TowerRegistry:
     def seconds_since_last_comm(self, device_id: str) -> Optional[float]:
         """The TTL selector factor: age of the device's last transfer."""
         return self._require(device_id).modem.seconds_since_last_comm()
+
+    def last_comm_ages(self) -> Iterator[Tuple[str, Optional[float]]]:
+        """``(device id, seconds_since_last_comm)`` for every attached device.
+
+        One pass in attachment order — the server's edge-view sync.
+        """
+        for device_id, device in self._devices.items():
+            yield device_id, device.modem.seconds_since_last_comm()
 
     def _require(self, device_id: str) -> object:
         if device_id not in self._devices:

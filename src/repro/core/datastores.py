@@ -24,7 +24,7 @@ checkpoints, and both backends all speak these dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
@@ -266,6 +266,27 @@ class DeviceDatastore:
             record.energy_used_j = energy_used_j
         if last_comm_time is not None:
             record.last_comm_time = last_comm_time
+
+    def sync_last_comm(
+        self, now: float, ages: Iterable[Tuple[str, Optional[float]]]
+    ) -> int:
+        """Fold edge-observed last-comm ages into the records.
+
+        ``ages`` yields ``(device id, seconds since last comm)``; the
+        record keeps ``now - age`` (``None`` = never communicated
+        leaves it alone), and ids not registered here are skipped.
+        Returns how many registered devices the ages covered.
+        """
+        records = self._records
+        synced = 0
+        for device_id, age in ages:
+            record = records.get(device_id)
+            if record is None:
+                continue
+            if age is not None:
+                record.last_comm_time = now - age
+            synced += 1
+        return synced
 
     def mark_selected(self, device_id: str) -> None:
         self.record(device_id).times_selected += 1

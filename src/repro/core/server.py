@@ -914,18 +914,9 @@ class SenseAidServer:
         with self._perf.measure("server.edge_refresh") as m:
             self._registry.refresh_attachments()
             if self.config.carrier_integrated:
-                synced = 0
-                for device_id in self.devices.device_ids():
-                    try:
-                        age = self._registry.seconds_since_last_comm(device_id)
-                    except KeyError:
-                        continue
-                    if age is not None:
-                        self.devices.update_state(
-                            device_id, last_comm_time=now - age
-                        )
-                    synced += 1
-                m.items = synced
+                m.items = self.devices.sync_last_comm(
+                    now, self._registry.last_comm_ages()
+                )
         # Attachment refresh does not bump the registry version, so the
         # key computed above is still current.
         self._edge_view_key = (now, self._registry.version, self._membership_version)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.environment.geometry import Point
 
@@ -102,6 +102,8 @@ class RandomWaypointMobility(MobilityModel):
         self._home_bias = home_bias
         first_pause = rng.expovariate(1.0 / mean_pause_s)
         self._legs: List[_Leg] = [_Leg(0.0, first_pause, home, home)]
+        #: The last :meth:`_find_leg` answer, keyed on (time, leg count).
+        self._leg_memo: Tuple[float, int, _Leg] = (-1.0, 0, self._legs[0])
 
     @property
     def speed_mps(self) -> float:
@@ -154,9 +156,20 @@ class RandomWaypointMobility(MobilityModel):
         return self._rng.choice(choices)
 
     def _find_leg(self, time: float) -> _Leg:
+        # A position read asks position_at and then position_valid_until
+        # for the same instant: answer the second from a one-entry memo.
+        # The leg count is part of the key because an extension at a
+        # leg-boundary time makes the newly appended leg the answer.
+        memo_time, memo_legs, memo_leg = self._leg_memo
+        legs = self._legs
+        if memo_time == time and memo_legs == len(legs):
+            return memo_leg
         # Itineraries are short (tens of legs for a multi-hour run);
         # scan from the end since queries cluster near "now".
-        for leg in reversed(self._legs):
+        found = legs[0]
+        for leg in reversed(legs):
             if leg.start_time <= time <= leg.end_time:
-                return leg
-        return self._legs[0]
+                found = leg
+                break
+        self._leg_memo = (time, len(legs), found)
+        return found

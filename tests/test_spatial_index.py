@@ -28,6 +28,7 @@ from repro.environment.population import PopulationConfig, build_population
 from repro.serverlib import CrowdsensingAppServer
 from repro.sim.engine import Simulator
 from tests.conftest import make_device
+from tests.test_federation import _Teleporter
 
 
 class _Dot:
@@ -194,6 +195,27 @@ class TestRegistryIncrementalRefresh:
                 expected = registry.nearest_tower(device.position()).tower_id
                 assert registry.serving_tower(device.device_id).tower_id == expected
 
+    def test_swapped_mobility_model_is_re_read(self):
+        """A promise of the replaced model does not outlive the swap."""
+        sim = Simulator(seed=3)
+        registry = TowerRegistry(
+            [
+                ENodeB("west", Point(0.0, 0.0)),
+                ENodeB("east", Point(2000.0, 0.0)),
+            ],
+            clock=sim,
+        )
+        device = make_device(sim, "d1", position=Point(100.0, 0.0))
+        registry.attach_device(device)  # StaticMobility: fresh forever
+        device.mobility = _Teleporter(
+            Point(100.0, 0.0), Point(1900.0, 0.0), switch_at=5.0
+        )
+        sim.run(until=10.0)
+        registry.refresh_attachments()
+        assert device.position() == Point(1900.0, 0.0)
+        assert registry.serving_tower("d1").tower_id == "east"
+        assert registry.devices_within(Point(1900.0, 0.0), 300.0) == ["d1"]
+
 
 def _run_campaign(seed: int, use_spatial_index: bool):
     from repro.faults import reset_global_ids
@@ -250,3 +272,149 @@ def test_random_waypoint_position_valid_until():
     # Mid-walk the model promises nothing.
     t_walk = until + 1.0
     assert mobility.position_valid_until(t_walk) == t_walk
+
+
+def _brute_nearest_id(towers, point: Point) -> str:
+    """First minimum over operational towers (all of them in an outage)."""
+    live = [t for t in towers if t.operational] or list(towers)
+    best_id, best = None, None
+    for tower in live:
+        distance = tower.position.distance_to(point)
+        if best is None or distance < best:
+            best_id, best = tower.tower_id, distance
+    return best_id
+
+
+#: Tower coordinates on a coarse lattice, so layouts repeat positions
+#: (exact ties) and put towers on cell edges; plus free floats.
+_coordinate = st.one_of(
+    st.integers(min_value=-8, max_value=8).map(lambda k: k * 250.0),
+    st.floats(min_value=-3000.0, max_value=3000.0, allow_nan=False),
+)
+_tower_layout = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=7)
+
+
+@st.composite
+def _query_points(draw, cell_size: float):
+    """Points on cell edges and corners, cell centres, and anywhere."""
+    cell = st.integers(min_value=-6, max_value=6)
+    on_lattice = st.sampled_from([0.0, 0.5, 1.0, 1.0 - 1e-12, 1e-12])
+    lattice = st.builds(
+        lambda i, j, fx, fy: Point((i + fx) * cell_size, (j + fy) * cell_size),
+        cell,
+        cell,
+        on_lattice,
+        on_lattice,
+    )
+    anywhere = st.builds(Point, _coordinate, _coordinate)
+    return draw(st.lists(st.one_of(lattice, anywhere), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    layout=_tower_layout,
+    cell_size=st.sampled_from([1.0, 120.0, 250.0, 500.0, 1500.0, 4000.0]),
+    toggles=st.lists(st.integers(min_value=0, max_value=6), max_size=6),
+    data=st.data(),
+)
+def test_tower_lookup_equals_brute_force_first_minimum(
+    layout, cell_size, toggles, data
+):
+    """Per-cell candidate lookup ≡ nearest_tower, ties and outages included."""
+    towers = [ENodeB(f"t{i}", Point(x, y)) for i, (x, y) in enumerate(layout)]
+    registry = TowerRegistry(towers, cell_size_m=cell_size)
+    points = data.draw(_query_points(cell_size))
+    # Each toggle fails or restores one tower: the cached candidates
+    # must follow every topology change, down to a total outage.
+    for step in [None, *toggles]:
+        if step is not None:
+            tower = towers[step % len(towers)]
+            if tower.operational:
+                registry.fail_tower(tower.tower_id)
+            else:
+                registry.restore_tower(tower.tower_id)
+        for point in points:
+            expected = _brute_nearest_id(towers, point)
+            assert registry._tower_id_for(point) == expected
+            assert registry.nearest_tower(point).tower_id == expected
+
+
+def test_tower_lookup_breaks_exact_ties_by_registry_order():
+    towers = [
+        ENodeB("b", Point(1000.0, 0.0)),
+        ENodeB("a", Point(0.0, 0.0)),
+        ENodeB("c", Point(0.0, 0.0)),
+    ]
+    registry = TowerRegistry(towers, cell_size_m=500.0)
+    midpoint = Point(500.0, 0.0)  # on a cell edge, equidistant from all
+    assert registry._tower_id_for(midpoint) == "b"
+    registry.fail_tower("b")
+    assert registry._tower_id_for(midpoint) == "a"
+    for tower_id in ("a", "c"):
+        registry.fail_tower(tower_id)
+    assert registry._tower_id_for(midpoint) == "b"  # total outage: all towers
+
+
+class _ScanningWaypoints(RandomWaypointMobility):
+    """Reference model: every leg lookup searches the whole itinerary."""
+
+    def _find_leg(self, time: float):
+        for leg in reversed(self._legs):
+            if leg.start_time <= time <= leg.end_time:
+                return leg
+        return self._legs[0]
+
+
+#: Ordinary waypoints, and a degenerate set whose every walk has zero
+#: length — there an extension at a boundary time changes the answer.
+_WAYPOINT_SETS = (
+    [Point(400.0, 0.0), Point(0.0, 300.0), Point(-250.0, -250.0)],
+    [Point(0.0, 0.0)],
+)
+
+
+def _waypoint_model(seed: int, waypoints, cls=RandomWaypointMobility):
+    return cls(Point(0.0, 0.0), waypoints, random.Random(seed), mean_pause_s=60.0)
+
+
+def _ask(model: RandomWaypointMobility, kind: str, time: float):
+    if kind == "position":
+        return model.position_at(time)
+    return model.position_valid_until(time)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    waypoints=st.sampled_from(_WAYPOINT_SETS),
+    data=st.data(),
+)
+def test_waypoint_queries_match_a_full_search_per_call(seed, waypoints, data):
+    """Any interleaving of reads ≡ a same-seeded model searching per call.
+
+    Times include the itinerary's leg boundaries, asked again after a
+    later query has extended the itinerary past them.
+    """
+    preview = _waypoint_model(seed, waypoints)
+    preview.position_at(2000.0)
+    boundaries = sorted(
+        {t for leg in preview._legs for t in (leg.start_time, leg.end_time)}
+    )
+    time = st.one_of(
+        st.sampled_from(boundaries),
+        st.floats(min_value=0.0, max_value=2500.0, allow_nan=False),
+    )
+    kind = st.sampled_from(["position", "valid_until"])
+    calls = data.draw(st.lists(st.tuples(kind, time), min_size=1, max_size=25))
+    model = _waypoint_model(seed, waypoints)
+    reference = _waypoint_model(seed, waypoints, _ScanningWaypoints)
+    for kind_, time_ in calls:
+        assert _ask(model, kind_, time_) == _ask(reference, kind_, time_)
+    assert model._legs == reference._legs
+    assert model._rng.getstate() == reference._rng.getstate()
+    # The itinerary (and so the RNG stream) depends only on the latest
+    # time asked, never on the order or kind of the calls.
+    fresh = _waypoint_model(seed, waypoints)
+    fresh.position_at(max(time_ for _, time_ in calls))
+    assert model._legs == fresh._legs
+    assert model._rng.getstate() == fresh._rng.getstate()
