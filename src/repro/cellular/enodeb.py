@@ -17,9 +17,10 @@ Scale-out design (see ``docs/performance.md``): the registry keeps a
 device positions, so ``devices_within`` is a bucket lookup bounded by
 local occupancy instead of an O(fleet) scan, and position refreshes
 are incremental — devices whose mobility model reports them mid-pause
-(``position_valid_until``) are skipped outright.  Per-tower member
-sets are maintained on every attachment change, giving the server
-tower-granularity candidate batches for free.  All of it is exact:
+(``position_valid_until``) are skipped outright.  Nothing is refreshed
+ahead of a reader: each query pulls the positions and attachments it
+answers from at the moment it is asked, so the view costs nothing
+between scheduling instants.  All of it is exact:
 indexed queries return bit-identical results to the brute-force scan
 (``devices_within_scan``), which stays available for verification.
 """
@@ -72,13 +73,14 @@ class ENodeB:
 class TowerRegistry:
     """Tracks towers and device attachments.
 
-    Attachment is nearest-tower.  ``refresh_attachments`` re-evaluates
-    devices against the towers; the experiments call it whenever the
-    server takes a location snapshot, which mirrors how a handover
-    updates the network's view.  With a bound clock the refresh is
-    memoised per simulation instant and skips provably-stationary
-    devices, so repeated snapshots within one scheduling round are
-    free.
+    Attachment is nearest-tower, evaluated when it is read:
+    ``serving_tower`` re-reads and re-attaches just the one device it
+    is asked about, and ``devices_on_tower`` runs
+    ``refresh_attachments`` over every device re-read since its last
+    attachment decision.  Tower fail/restore re-attaches everyone at
+    once (the handover storm).  With a bound clock position refreshes
+    are memoised per simulation instant and skip provably-stationary
+    devices, so repeated reads within one scheduling round are free.
 
     ``use_spatial_index`` selects the grid-backed ``devices_within``
     (the default); the brute-force scan remains available both as the
@@ -116,9 +118,6 @@ class TowerRegistry:
         self._perf = perf if perf is not None else PerfRegistry()
         #: Membership/topology change counter (cache key for callers).
         self._version = 0
-        #: Bumped by tower fail/restore — invalidates nearest-tower caches.
-        self._topology_version = 0
-        self._attachments_topology = 0
         #: Per grid cell, the towers that can be nearest somewhere in it.
         self._cell_candidates: Dict[Cell, Tuple[_Candidate, ...]] = {}
         self._positions_time: Optional[float] = None
@@ -152,6 +151,7 @@ class TowerRegistry:
 
     def grid_stats(self) -> Dict[str, float]:
         """Spatial-index occupancy statistics (benchmark gates)."""
+        self.refresh_positions()
         return self._grid.occupancy_stats()
 
     def _now(self) -> Optional[float]:
@@ -204,8 +204,8 @@ class TowerRegistry:
 
     def _note_topology_change(self) -> None:
         self._version += 1
-        self._topology_version += 1
         self._cell_candidates.clear()
+        self._attach_dirty.update(self._devices)
 
     def towers_covering(self, center: Point, radius_m: float) -> List[ENodeB]:
         """Towers whose coverage intersects a task's circular region."""
@@ -252,14 +252,20 @@ class TowerRegistry:
     def device_ids(self) -> List[str]:
         return sorted(self._devices)
 
+    def __contains__(self, device_id: object) -> bool:
+        """Whether a device is attached (O(1), unlike ``device_ids``)."""
+        return device_id in self._devices
+
     def devices_on_tower(self, tower_id: str) -> List[str]:
         """Device ids currently attached to a tower, sorted.
 
-        Maintained incrementally on every attachment change — the
+        Re-attaches the devices re-read since their last attachment
+        decision, then answers from the per-tower member sets — the
         tower-granularity candidate set Azari-style grouped scheduling
         batches on, with no scan to build it.
         """
         self.tower(tower_id)  # raise on unknown id
+        self.refresh_attachments()
         return sorted(self._tower_members[tower_id])
 
     # ------------------------------------------------------------------
@@ -322,16 +328,12 @@ class TowerRegistry:
         """
         self.refresh_positions()
         with self._perf.measure("registry.refresh_attachments") as m:
-            if self._attachments_topology != self._topology_version:
-                dirty = list(self._devices)
-                self._attachments_topology = self._topology_version
-            else:
-                dirty = [d for d in self._attach_dirty if d in self._devices]
+            dirty = self._attach_dirty
             for device_id in dirty:
                 position = self._grid.position(device_id)
                 self._set_attachment(device_id, self._tower_id_for(position))
-            self._attach_dirty.clear()
             m.items = len(dirty)
+            dirty.clear()
 
     def _set_attachment(self, device_id: str, tower_id: str) -> None:
         old = self._attachment.get(device_id)
@@ -392,7 +394,23 @@ class TowerRegistry:
         )
 
     def serving_tower(self, device_id: str) -> ENodeB:
-        self._require(device_id)
+        """The tower serving a device now, evaluated for that device only.
+
+        The device is re-read if the validity window of its observed
+        position ended before now or its mobility model was swapped, and
+        re-attached if it was re-read since its last attachment decision
+        — by this call or by any fleet refresh.
+        """
+        device = self._require(device_id)
+        now = self._now()
+        expiry, mobility = self._position_expiry[device_id]
+        if now is None or expiry < now or device.mobility is not mobility:
+            self._observe_position(device_id, device, now)
+            self._attach_dirty.add(device_id)
+        if device_id in self._attach_dirty:
+            position = self._grid.position(device_id)
+            self._set_attachment(device_id, self._tower_id_for(position))
+            self._attach_dirty.discard(device_id)
         return self._towers[self._attachment[device_id]]
 
     def serving_tower_operational(self, device_id: str) -> bool:

@@ -854,7 +854,9 @@ class SenseAidServer:
     def _check_wait_queue(self) -> None:
         """Periodic wait-queue drain, batched per edge snapshot.
 
-        One edge refresh covers the whole drain (the memo in
+        The edge view is pulled only when a request is waiting: an
+        empty queue costs the expiry check and nothing else.  One edge
+        refresh covers the whole drain (the memo in
         :meth:`_refresh_edge_view` makes the per-request call free),
         and requests of the same task share one qualification via the
         per-instant memo — so a drain costs one snapshot plus one
@@ -865,7 +867,6 @@ class SenseAidServer:
         """
         expired = self.wait_queue.drop_expired(self._sim.now)
         self.stats.requests_expired += len(expired)
-        self._refresh_edge_view()
 
         def satisfiable(request: SensingRequest) -> bool:
             self._refresh_edge_view()
@@ -894,17 +895,20 @@ class SenseAidServer:
         self._drain_run_queue()
 
     def _refresh_edge_view(self) -> None:
-        """Pull the eNodeBs' current view: attachment + last-comm age.
+        """Pull the eNodeBs' current last-comm ages into the records.
 
+        Selection reads no tower attachment, and positions are pulled
+        by the registry queries themselves (``devices_within`` and
+        ``candidate_count_within`` refresh them, memoised per
+        instant), so the only state this sync owns is the TTL factor.
         A third-party (non-carrier) deployment has no live RRC
         visibility, so its records keep whatever last-comm times the
         devices reported themselves.
 
         Memoised per (instant, registry version, membership version):
-        positions are pure functions of simulation time and radio
-        completions fire at ``PRIORITY_RADIO`` before any scheduling
-        event at the same instant, so within one instant a second
-        snapshot could only ever recompute identical values.
+        radio completions fire at ``PRIORITY_RADIO`` before any
+        scheduling event at the same instant, so within one instant a
+        second sync could only ever recompute identical values.
         """
         now = self._sim.now
         key = (now, self._registry.version, self._membership_version)
@@ -912,14 +916,11 @@ class SenseAidServer:
             self._perf.count("server.edge_refresh.memo_hit")
             return
         with self._perf.measure("server.edge_refresh") as m:
-            self._registry.refresh_attachments()
             if self.config.carrier_integrated:
                 m.items = self.devices.sync_last_comm(
                     now, self._registry.last_comm_ages()
                 )
-        # Attachment refresh does not bump the registry version, so the
-        # key computed above is still current.
-        self._edge_view_key = (now, self._registry.version, self._membership_version)
+        self._edge_view_key = key
 
     # ------------------------------------------------------------------
     # Data path

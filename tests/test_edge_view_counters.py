@@ -1,12 +1,15 @@
-"""Exact work counters of the edge-view refresh on a fixed-seed city.
+"""Exact work counters of the edge view on a fixed-seed city.
 
 The server's edge view (tower registry position reads, re-attachments
 and the last-comm sync) is the control plane's hottest path at city
-scale.  A change to it must re-read, re-attach and sync exactly as many
-devices as before and move no selection.  These counts do not jitter,
-so the pins catch extra work without any wall-clock noise.  Update an
-integer only with a change that is meant to alter the simulated
-behaviour, and say why.
+scale.  It is pulled on demand: positions are re-read only when a
+scheduling instant queries the region, the sync runs only when a
+request is scheduled or waiting, and selection never re-attaches a
+device.  These counts do not jitter, so the pins catch extra work
+without any wall-clock noise.  A work pin moves only with a change that
+removes or adds work and says so; the event count, the selections and
+their digest move only with a change meant to alter the simulated
+behaviour.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.environment.population import PopulationConfig, build_population
 from repro.faults import reset_global_ids
 from repro.serverlib import CrowdsensingAppServer
 from repro.sim.engine import Simulator
+from tests.test_core_server import make_setup, make_spec
 
 SIDE_M = 9000.0
 DURATION_S = 600.0
@@ -92,11 +96,53 @@ def _selection_digest(server: SenseAidServer) -> str:
 def test_city_edge_view_counters():
     sim, registry, server = _run_city(seed=7)
     perf = registry.perf
-    assert perf.probe("registry.refresh_positions").items == 1247
-    assert perf.probe("registry.refresh_attachments").items == 1247
-    assert perf.probe("server.edge_refresh").items == 4600
+    assert perf.probe("registry.refresh_positions").items == 52
+    assert perf.probe("registry.refresh_attachments").items == 0
+    assert perf.probe("server.edge_refresh").items == 400
     assert sim.events_processed == 2426
     assert len(server.selection_log) == 8
     assert _selection_digest(server) == (
         "d5f71751b5c206fc29c10f2a8a568a7a4f6af9439a1c4d010fac1c434ed1ce56"
     )
+
+
+def _wait_check_counts(sim: Simulator):
+    perf = sim.perf
+    return (
+        perf.probe("server.wait_check").calls,
+        perf.probe("server.edge_refresh").calls,
+        perf.probe("server.edge_refresh.memo_hit").calls,
+    )
+
+
+def test_empty_wait_queue_pulls_no_edge_view():
+    sim = Simulator(seed=3)
+    server, _, _, _ = make_setup(sim, n_devices=4)
+    sim.run(until=300.0)
+    checks, refreshes, memo_hits = _wait_check_counts(sim)
+    assert len(server.wait_queue) == 0
+    assert checks >= 9
+    assert (refreshes, memo_hits) == (0, 0)
+    assert sim.perf.probe("registry.refresh_positions").calls == 0
+
+
+def test_waitlisted_requests_pull_one_edge_view_per_check():
+    sim = Simulator(seed=3)
+    server, _, _, _ = make_setup(sim, n_devices=1)
+    for radius in (900.0, 1000.0):  # two tasks, both short of devices
+        server.submit_task(
+            make_spec(
+                area_radius_m=radius, spatial_density=3, sampling_duration_s=600.0
+            ),
+            lambda reading: None,
+        )
+    sim.run(until=50.0)
+    assert len(server.wait_queue) == 2
+    before = _wait_check_counts(sim)
+    sim.run(until=290.0)
+    after = _wait_check_counts(sim)
+    checks, refreshes, memo_hits = (a - b for a, b in zip(after, before))
+    assert len(server.wait_queue) == 2
+    assert checks == 8  # t = 60, 90, ..., 270
+    assert refreshes == checks
+    assert memo_hits == checks  # the second waiting request reuses it

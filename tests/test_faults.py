@@ -22,6 +22,7 @@ from repro.sim.engine import Simulator
 from repro.sim.simlog import structured_log
 from tests.conftest import make_device
 from tests.test_core_server import CENTER, make_spec
+from tests.test_federation import _Teleporter
 
 
 def chaos_setup(
@@ -294,6 +295,60 @@ class TestTowerOutage:
         assert registry.serving_tower("d0").tower_id == "only"
         assert not registry.serving_tower_operational("d0")
         assert registry.operational_towers() == []
+
+
+    def test_outage_judged_by_where_the_device_is_now(self):
+        """No server refreshes the registry: the fault path still sees
+        the tower the device has walked under, not the one it left."""
+        sim = Simulator(seed=2)
+        registry = TowerRegistry(
+            [ENodeB("west", Point(0.0, 0.0)), ENodeB("east", Point(2000.0, 0.0))]
+        )
+        registry.bind(sim)
+        network = CellularNetwork(sim)
+        injector = FaultInjector(sim, network, registry)
+        walker = make_device(
+            sim,
+            "w",
+            mobility=_Teleporter(Point(100.0, 0.0), Point(1900.0, 0.0), switch_at=30.0),
+        )
+        registry.attach_device(walker)
+        assert registry.serving_tower("w").tower_id == "west"
+        sim.run(until=60.0)  # now in the east tower's half
+        assert registry.serving_tower("w").tower_id == "east"
+        # The east tower goes dark before any handover moves its devices.
+        registry.tower("east").fail()
+        delivered = []
+        network.uplink(
+            walker,
+            Message(MessageKind.APP_TRAFFIC, "w", 600),
+            on_delivered=lambda m, r: delivered.append(m),
+        )
+        sim.run(until=80.0)
+        assert delivered == []
+        assert injector.stats.outage_drops == 1
+        drops = structured_log(sim).records(kind="fault.drop")
+        assert [r.fields["reason"] for r in drops] == ["tower_outage"]
+
+    def test_unattached_device_is_not_an_outage(self):
+        sim = Simulator(seed=2)
+        towers = [ENodeB("only", CENTER, coverage_radius_m=5000.0)]
+        _, network, registry, injector, _, _ = chaos_setup(
+            sim, n_devices=1, towers=towers
+        )
+        registry.fail_tower("only")
+        stranger = make_device(sim, "stranger", position=CENTER)
+        assert "stranger" not in registry
+        assert "d0" in registry
+        delivered = []
+        network.uplink(
+            stranger,
+            Message(MessageKind.APP_TRAFFIC, "stranger", 600),
+            on_delivered=lambda m, r: delivered.append(m),
+        )
+        sim.run(until=60.0)
+        assert len(delivered) == 1
+        assert injector.stats.outage_drops == 0
 
 
 class TestPartitionAndChurn:

@@ -418,3 +418,122 @@ def test_waypoint_queries_match_a_full_search_per_call(seed, waypoints, data):
     fresh.position_at(max(time_ for _, time_ in calls))
     assert model._legs == fresh._legs
     assert model._rng.getstate() == fresh._rng.getstate()
+
+
+class _Clock:
+    def __init__(self) -> None:
+        self.now = 0.0
+
+
+class _Mover:
+    """Registry device whose position follows a (swappable) mobility model."""
+
+    def __init__(self, device_id: str, mobility, clock: _Clock) -> None:
+        self.device_id = device_id
+        self.mobility = mobility
+        self.modem = None
+        self._clock = clock
+
+    def position(self) -> Point:
+        return self.mobility.position_at(self._clock.now)
+
+
+_CITY_WAYPOINTS = [Point(x, y) for x in (200.0, 1500.0, 2800.0) for y in (300.0, 2700.0)]
+
+
+def _mobility(kind: str, seed: int):
+    if kind == "static":
+        rng = random.Random(seed)
+        return StaticMobility(Point(rng.uniform(0.0, 3000.0), rng.uniform(0.0, 3000.0)))
+    return RandomWaypointMobility(
+        _CITY_WAYPOINTS[seed % len(_CITY_WAYPOINTS)],
+        _CITY_WAYPOINTS,
+        random.Random(seed),
+        mean_pause_s=40.0,
+    )
+
+
+_fleet = st.lists(st.sampled_from(["walk", "static"]), min_size=1, max_size=12)
+_operation = st.one_of(
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 1.0, 17.5, 60.0, 400.0])),
+    st.tuples(st.just("refresh"), st.none()),
+    st.tuples(st.just("within"), st.floats(min_value=0.0, max_value=2500.0)),
+    st.tuples(st.just("toggle"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("swap"), st.integers(min_value=0, max_value=11)),
+    st.tuples(st.just("serving"), st.integers(min_value=0, max_value=11)),
+    st.tuples(st.just("members"), st.integers(min_value=0, max_value=3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    kinds=_fleet,
+    operations=st.lists(_operation, max_size=30),
+)
+def test_attachments_read_on_demand_equal_nearest_tower(seed, kinds, operations):
+    """Pull-on-read attachments ≡ the nearest tower at the time of the read.
+
+    Any interleaving of clock advances, position refreshes, region
+    queries, mobility swaps and tower fail/restore (down to a total
+    outage) leaves ``serving_tower`` and ``devices_on_tower`` equal to a
+    brute-force nearest-tower evaluation of where every device is now,
+    and the indexed region query equal to the scan.
+    """
+    clock = _Clock()
+    registry = _registry(clock=clock)
+    towers = registry.towers
+    devices = [
+        _Mover(f"d{i}", _mobility(kind, seed + i), clock)
+        for i, kind in enumerate(kinds)
+    ]
+    for device in devices:
+        registry.attach_device(device)
+
+    def expected_tower(device) -> str:
+        return _brute_nearest_id(towers, device.position())
+
+    def check_serving(device) -> None:
+        assert registry.serving_tower(device.device_id).tower_id == (
+            expected_tower(device)
+        )
+
+    def check_members(tower) -> None:
+        members = sorted(
+            d.device_id for d in devices if expected_tower(d) == tower.tower_id
+        )
+        assert registry.devices_on_tower(tower.tower_id) == members
+
+    swaps = 0
+    for op, arg in operations:
+        if op == "advance":
+            clock.now += arg
+        elif op == "refresh":
+            registry.refresh_positions()
+        elif op == "within":
+            center = Point(1500.0, 1500.0)
+            assert registry.devices_within(center, arg) == (
+                registry.devices_within_scan(center, arg)
+            )
+        elif op == "toggle":
+            tower = towers[arg % len(towers)]
+            if tower.operational:
+                registry.fail_tower(tower.tower_id)
+            else:
+                registry.restore_tower(tower.tower_id)
+        elif op == "swap":
+            swaps += 1
+            device = devices[arg % len(devices)]
+            kind = "static" if isinstance(device.mobility, RandomWaypointMobility) else "walk"
+            device.mobility = _mobility(kind, seed + 1000 * swaps)
+            # Fleet refreshes are memoised per instant, so a swap shows
+            # from the next instant on.
+            clock.now += 1.0
+        elif op == "serving":
+            check_serving(devices[arg % len(devices)])
+        else:
+            check_members(towers[arg % len(towers)])
+    for device in devices:
+        check_serving(device)
+    for tower in towers:
+        check_members(tower)
